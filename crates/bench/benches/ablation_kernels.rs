@@ -3,7 +3,7 @@
 //! the micro-level mechanism behind the SysDS vs SysDS-B vs Julia gaps.
 
 use sysds_bench::bench;
-use sysds_tensor::kernels::{gen, matmult, reorg, tsmm};
+use sysds_tensor::kernels::{gen, matmult, reorg, solve, tsmm};
 use sysds_tensor::Matrix;
 
 fn main() {
@@ -45,4 +45,15 @@ fn main() {
         matmult::matmul(&xt, &xs, threads, false).unwrap()
     });
     bench("gram_tsmm_sparse", || tsmm::tsmm(&xs, threads, false));
+
+    // One lmDS model of the Figure-5(a) HPO bench at its perfbench size:
+    // the blocked Gram of X 600x200 on one thread, then the 200x200
+    // normal-equation solve (Cholesky plus substitution).
+    let xh = gen::rand_uniform(600, 200, -1.0, 1.0, 1.0, 6005);
+    bench("gram_tsmm_dense_blas_1t/600x200", || {
+        tsmm::tsmm(&xh, 1, true)
+    });
+    let g = tsmm::tsmm(&xh, 1, true);
+    let rhs = gen::rand_uniform(200, 1, -1.0, 1.0, 1.0, 6006);
+    bench("solve_spd/200", || solve::solve(&g, &rhs).unwrap());
 }

@@ -5,7 +5,9 @@
 //! a multi-threaded and/or "native BLAS"-style optimized form. The runtime
 //! selects kernels through [`sysds_common::EngineConfig`] (`num_threads`,
 //! `native_blas`), which models the SysDS vs SysDS-B distinction in the
-//! paper's §4.2.
+//! paper's §4.2. The blocked `tsmm` and the Cholesky factorization pick an
+//! AVX2 or AVX-512F copy at run time through `simd`, with bit-identical
+//! results.
 
 pub mod aggregate;
 pub mod elementwise;
@@ -14,6 +16,7 @@ pub mod gen;
 pub mod indexing;
 pub mod matmult;
 pub mod reorg;
+pub(crate) mod simd;
 pub mod solve;
 pub mod tsmm;
 

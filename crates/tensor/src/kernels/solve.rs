@@ -5,43 +5,121 @@
 //! `(t(X)%*%X + diag(lambda)) beta = t(X)%*%y`; the system matrix is
 //! symmetric positive definite, so [`solve`] tries Cholesky first and falls
 //! back to pivoted LU for general systems.
+//!
+//! The Cholesky factorization is right-looking on the upper factor
+//! `U = L'`, so its `O(n^3)` update walks contiguous rows and runs through
+//! `kernels::simd` at the host's level. It performs the same operations per
+//! entry, in the same order, as the textbook left-looking recurrence, and
+//! the substitutions in [`solve`] walk rows of `U` in the same order as
+//! column-wise substitution with `L`: results are bit-identical to those
+//! forms at every SIMD level.
 
+use super::simd;
 use crate::matrix::{DenseMatrix, Matrix};
 use sysds_common::{Result, SysDsError};
 
 /// Cholesky factorization `A = L L'` of a symmetric positive-definite
-/// matrix; returns the lower-triangular factor.
+/// matrix; returns the lower-triangular factor. Only the lower triangle of
+/// `A` is read.
 pub fn cholesky(a: &Matrix) -> Result<Matrix> {
-    let n = square_dim(a, "cholesky")?;
+    square_dim(a, "cholesky")?;
+    let u = cholesky_upper(simd::detected(), &a.to_dense())?;
+    let n = u.rows();
     let mut l = vec![0.0f64; n * n];
-    let ad = a.to_dense();
     for i in 0..n {
         for j in 0..=i {
-            let mut s = ad.get(i, j);
-            for k in 0..j {
-                s -= l[i * n + k] * l[j * n + k];
-            }
-            if i == j {
-                if s <= 0.0 {
-                    return Err(SysDsError::Numerical(format!(
-                        "cholesky: matrix not positive definite (pivot {s:.3e} at {i})"
-                    )));
-                }
-                l[i * n + j] = s.sqrt();
-            } else {
-                l[i * n + j] = s / l[j * n + j];
-            }
+            l[i * n + j] = u.get(j, i);
         }
     }
     Ok(Matrix::Dense(DenseMatrix::from_vec(n, n, l)))
+}
+
+/// The upper factor `U = L'` of a square `a`, read from its lower triangle
+/// and factored at SIMD `level`.
+fn cholesky_upper(level: simd::Level, a: &DenseMatrix) -> Result<DenseMatrix> {
+    let n = a.rows();
+    let mut u = vec![0.0f64; n * n];
+    for c in 0..n {
+        for r in 0..=c {
+            u[r * n + c] = a.get(c, r);
+        }
+    }
+    if let Err((k, pivot)) = factor_upper(level, &mut u, n) {
+        return Err(SysDsError::Numerical(format!(
+            "cholesky: matrix not positive definite (pivot {pivot:.3e} at {k})"
+        )));
+    }
+    Ok(DenseMatrix::from_vec(n, n, u))
+}
+
+simd::dispatch! {
+    /// Right-looking Cholesky on the row-major upper triangle of `u`
+    /// (`n x n`, holding `A`'s lower triangle transposed): for each `k`,
+    /// take the pivot's square root, scale row `k`, then subtract
+    /// `U[k][i] * U[k][j]` from every `U[i][j]` with `k < i <= j`. Each
+    /// entry receives the same subtractions, in the same `k` order, as in
+    /// the left-looking `s -= L[i][k] * L[j][k]` recurrence, so the factor
+    /// is bit-identical to it; only the trailing update is contiguous and
+    /// vectorizes. Rows are factored in panels of four, and each trailing
+    /// row then takes the panel's four subtractions in one sweep, in `k`
+    /// order. Returns the first non-positive pivot and its index.
+    fn factor_upper(u: &mut [f64], n: usize) -> std::result::Result<(), (usize, f64)> {
+        let mut k0 = 0;
+        while k0 < n {
+            let k1 = (k0 + 4).min(n);
+            for k in k0..k1 {
+                let (head, tail) = u.split_at_mut((k + 1) * n);
+                let uk = &mut head[k * n..];
+                let pivot = uk[k];
+                if pivot <= 0.0 {
+                    return Err((k, pivot));
+                }
+                let d = pivot.sqrt();
+                uk[k] = d;
+                for v in &mut uk[k + 1..] {
+                    *v /= d;
+                }
+                for (i, row) in (k + 1..k1).zip(tail.chunks_exact_mut(n)) {
+                    let f = uk[i];
+                    for (dst, &src) in row[i..].iter_mut().zip(&uk[i..]) {
+                        *dst -= src * f;
+                    }
+                }
+            }
+            if k1 == n {
+                break;
+            }
+            // A short panel is the last one, so this panel has four rows.
+            let (head, tail) = u.split_at_mut(k1 * n);
+            let (p0, rest) = head[k0 * n..].split_at(n);
+            let (p1, rest) = rest.split_at(n);
+            let (p2, p3) = rest.split_at(n);
+            for (i, row) in (k1..n).zip(tail.chunks_exact_mut(n)) {
+                let (f0, f1, f2, f3) = (p0[i], p1[i], p2[i], p3[i]);
+                let len = n - i;
+                let dst = &mut row[i..][..len];
+                let (s0, s1) = (&p0[i..][..len], &p1[i..][..len]);
+                let (s2, s3) = (&p2[i..][..len], &p3[i..][..len]);
+                for j in 0..len {
+                    dst[j] = dst[j] - s0[j] * f0 - s1[j] * f1 - s2[j] * f2 - s3[j] * f3;
+                }
+            }
+            k0 = k1;
+        }
+        Ok(())
+    }
 }
 
 /// LU factorization with partial pivoting. Returns `(lu, perm)` where `lu`
 /// packs `L` (unit diagonal, below) and `U` (on/above the diagonal), and
 /// `perm[i]` is the source row of output row `i`.
 pub fn lu(a: &Matrix) -> Result<(DenseMatrix, Vec<usize>)> {
-    let n = square_dim(a, "lu")?;
-    let mut m = a.to_dense();
+    square_dim(a, "lu")?;
+    lu_dense(a.to_dense())
+}
+
+fn lu_dense(mut m: DenseMatrix) -> Result<(DenseMatrix, Vec<usize>)> {
+    let n = m.rows();
     let mut perm: Vec<usize> = (0..n).collect();
     for k in 0..n {
         // Pivot: largest |value| in column k at/below the diagonal.
@@ -94,39 +172,54 @@ pub fn solve(a: &Matrix, b: &Matrix) -> Result<Matrix> {
             rhs: b.shape(),
         });
     }
-    if is_symmetric(a) {
-        if let Ok(l) = cholesky(a) {
-            return solve_cholesky(&l, b);
+    let ad = a.to_dense();
+    if is_symmetric(&ad) {
+        if let Ok(u) = cholesky_upper(simd::detected(), &ad) {
+            return Ok(solve_cholesky(&u, b));
         }
     }
-    let (lum, perm) = lu(a)?;
+    let (lum, perm) = lu_dense(ad)?;
     solve_lu(&lum, &perm, b)
 }
 
-fn solve_cholesky(l: &Matrix, b: &Matrix) -> Result<Matrix> {
-    let n = l.rows();
+/// Solve `U' U X = B` for the upper Cholesky factor `u`, walking rows of
+/// `U` and of `X` only. Every entry of `X` receives the same subtractions
+/// in the same order as column-wise substitution with `L = U'`.
+fn solve_cholesky(u: &DenseMatrix, b: &Matrix) -> Matrix {
+    let n = u.rows();
     let k = b.cols();
-    let ld = l.to_dense();
     let mut x = b.to_dense();
-    // Forward substitution L y = b.
-    for col in 0..k {
-        for i in 0..n {
-            let mut s = x.get(i, col);
-            for j in 0..i {
-                s -= ld.get(i, j) * x.get(j, col);
-            }
-            x.set(i, col, s / ld.get(i, i));
+    let xs = x.values_mut();
+    // Forward substitution U' y = b: once y[j] is final, subtract its
+    // multiples from the rows below.
+    for j in 0..n {
+        let urow = u.row(j);
+        let (head, tail) = xs.split_at_mut((j + 1) * k);
+        let xj = &mut head[j * k..];
+        for v in xj.iter_mut() {
+            *v /= urow[j];
         }
-        // Backward substitution L' x = y.
-        for i in (0..n).rev() {
-            let mut s = x.get(i, col);
-            for j in (i + 1)..n {
-                s -= ld.get(j, i) * x.get(j, col);
+        for (&f, xi) in urow[j + 1..].iter().zip(tail.chunks_exact_mut(k.max(1))) {
+            for (dst, &src) in xi.iter_mut().zip(xj.iter()) {
+                *dst -= f * src;
             }
-            x.set(i, col, s / ld.get(i, i));
         }
     }
-    Ok(Matrix::Dense(x))
+    // Backward substitution U x = y.
+    for i in (0..n).rev() {
+        let urow = u.row(i);
+        let (head, tail) = xs.split_at_mut((i + 1) * k);
+        let xi = &mut head[i * k..];
+        for (&f, xj) in urow[i + 1..].iter().zip(tail.chunks_exact(k.max(1))) {
+            for (dst, &src) in xi.iter_mut().zip(xj) {
+                *dst -= f * src;
+            }
+        }
+        for v in xi.iter_mut() {
+            *v /= urow[i];
+        }
+    }
+    Matrix::Dense(x)
 }
 
 #[allow(clippy::needless_range_loop)] // i indexes perm and the triangular sweep
@@ -204,11 +297,12 @@ fn square_dim(a: &Matrix, op: &'static str) -> Result<usize> {
     }
 }
 
-fn is_symmetric(a: &Matrix) -> bool {
-    let n = a.rows();
+fn is_symmetric(a: &DenseMatrix) -> bool {
+    let (n, v) = (a.rows(), a.values());
     for i in 0..n {
         for j in (i + 1)..n {
-            if (a.get(i, j) - a.get(j, i)).abs() > 1e-12 * (1.0 + a.get(i, j).abs()) {
+            let (aij, aji) = (v[i * n + j], v[j * n + i]);
+            if (aij - aji).abs() > 1e-12 * (1.0 + aij.abs()) {
                 return false;
             }
         }
@@ -303,6 +397,124 @@ mod tests {
         assert_eq!(det(&c).unwrap(), 0.0);
     }
 
+    /// The left-looking factorization `cholesky` computed before the
+    /// right-looking one; kept as the bitwise reference.
+    fn cholesky_left_looking(a: &Matrix) -> Result<Matrix> {
+        let n = square_dim(a, "cholesky")?;
+        let mut l = vec![0.0f64; n * n];
+        let ad = a.to_dense();
+        for i in 0..n {
+            for j in 0..=i {
+                let mut s = ad.get(i, j);
+                for k in 0..j {
+                    s -= l[i * n + k] * l[j * n + k];
+                }
+                if i == j {
+                    if s <= 0.0 {
+                        return Err(SysDsError::Numerical(format!(
+                            "cholesky: matrix not positive definite (pivot {s:.3e} at {i})"
+                        )));
+                    }
+                    l[i * n + j] = s.sqrt();
+                } else {
+                    l[i * n + j] = s / l[j * n + j];
+                }
+            }
+        }
+        Ok(Matrix::Dense(DenseMatrix::from_vec(n, n, l)))
+    }
+
+    /// Column-wise substitution with the lower factor, the reference for
+    /// `solve_cholesky`.
+    fn solve_lower_columns(l: &Matrix, b: &Matrix) -> Matrix {
+        let (n, k) = (l.rows(), b.cols());
+        let mut x = b.to_dense();
+        for col in 0..k {
+            for i in 0..n {
+                let mut s = x.get(i, col);
+                for j in 0..i {
+                    s -= l.get(i, j) * x.get(j, col);
+                }
+                x.set(i, col, s / l.get(i, i));
+            }
+            for i in (0..n).rev() {
+                let mut s = x.get(i, col);
+                for j in (i + 1)..n {
+                    s -= l.get(j, i) * x.get(j, col);
+                }
+                x.set(i, col, s / l.get(i, i));
+            }
+        }
+        Matrix::Dense(x)
+    }
+
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.to_vec().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `U'` of `a` factored at `level`, or the error text.
+    fn lower_at(level: simd::Level, a: &Matrix) -> std::result::Result<Matrix, String> {
+        let u = cholesky_upper(level, &a.to_dense()).map_err(|e| e.to_string())?;
+        Ok(reorg::transpose(&Matrix::Dense(u), 1))
+    }
+
+    #[test]
+    fn cholesky_bitwise_identical_to_left_looking_at_every_level() {
+        for n in [1usize, 2, 8, 57, 200] {
+            let a = spd(n, 60 + n as u64);
+            let want = bits(&cholesky_left_looking(&a).unwrap());
+            assert_eq!(bits(&cholesky(&a).unwrap()), want, "n={n}");
+            for level in simd::supported() {
+                assert_eq!(bits(&lower_at(level, &a).unwrap()), want, "n={n} {level:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn cholesky_reads_only_the_lower_triangle() {
+        // Perturb the strict upper triangle: the factor must not change.
+        let mut a = spd(57, 61);
+        for i in 0..57 {
+            for j in (i + 1)..57 {
+                let v = a.get(i, j);
+                a.set(i, j, v * (1.0 + 1e-9 * (i + j) as f64));
+            }
+        }
+        let want = bits(&cholesky_left_looking(&a).unwrap());
+        assert_eq!(want, bits(&cholesky_left_looking(&spd(57, 61)).unwrap()));
+        for level in simd::supported() {
+            assert_eq!(bits(&lower_at(level, &a).unwrap()), want, "{level:?}");
+        }
+    }
+
+    #[test]
+    fn cholesky_not_positive_definite_error_unchanged() {
+        let mut big = spd(57, 62);
+        big.set(30, 30, -5.0);
+        let small = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]).unwrap();
+        for a in [small, big] {
+            let want = cholesky_left_looking(&a).unwrap_err().to_string();
+            assert!(want.contains("not positive definite"), "{want}");
+            assert_eq!(cholesky(&a).unwrap_err().to_string(), want);
+            for level in simd::supported() {
+                assert_eq!(lower_at(level, &a).unwrap_err(), want, "{level:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn solve_bitwise_identical_to_column_substitution() {
+        for n in [1usize, 8, 57, 200] {
+            let a = spd(n, 63 + n as u64);
+            let l = cholesky_left_looking(&a).unwrap();
+            for k in [1usize, 3] {
+                let b = gen::rand_uniform(n, k, -1.0, 1.0, 1.0, 64 + k as u64);
+                let want = bits(&solve_lower_columns(&l, &b));
+                assert_eq!(bits(&solve(&a, &b).unwrap()), want, "n={n} k={k}");
+            }
+        }
+    }
+
     #[test]
     fn shape_checks() {
         let rect = Matrix::zeros(2, 3);
@@ -318,12 +530,17 @@ mod tests {
 /// corresponding columns (`A = V diag(w) t(V)`).
 pub fn eigen_symmetric(a: &Matrix) -> Result<(Matrix, Matrix)> {
     let n = square_dim(a, "eigen")?;
-    if !is_symmetric(a) {
+    let mut m = a.to_dense();
+    if m.values().iter().any(|v| !v.is_finite()) {
+        return Err(SysDsError::Numerical(
+            "eigen: matrix contains NaN or infinite values".into(),
+        ));
+    }
+    if !is_symmetric(&m) {
         return Err(SysDsError::Numerical(
             "eigen requires a symmetric matrix".into(),
         ));
     }
-    let mut m = a.to_dense();
     let mut v = Matrix::identity(n).to_dense();
     let max_sweeps = 64;
     for _sweep in 0..max_sweeps {
@@ -372,9 +589,20 @@ pub fn eigen_symmetric(a: &Matrix) -> Result<(Matrix, Matrix)> {
             }
         }
     }
-    // Sort eigenpairs ascending by eigenvalue.
+    // Finite input can still overflow in the rotations.
+    if (0..n).any(|i| !m.get(i, i).is_finite()) {
+        return Err(SysDsError::Numerical(
+            "eigen: eigenvalues are not finite (overflow)".into(),
+        ));
+    }
+    // Sort eigenpairs ascending by eigenvalue; all are finite, so every
+    // pair compares.
     let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&i, &j| m.get(i, i).partial_cmp(&m.get(j, j)).unwrap());
+    order.sort_by(|&i, &j| {
+        m.get(i, i)
+            .partial_cmp(&m.get(j, j))
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
     let mut values = DenseMatrix::zeros(n, 1);
     let mut vectors = DenseMatrix::zeros(n, n);
     for (dst, &src) in order.iter().enumerate() {
@@ -430,6 +658,22 @@ mod eigen_tests {
         assert!(eigen_symmetric(&Matrix::zeros(2, 3)).is_err());
         let ns = Matrix::from_rows(&[&[1.0, 2.0], &[0.0, 1.0]]).unwrap();
         assert!(eigen_symmetric(&ns).is_err());
+    }
+
+    #[test]
+    fn eigen_rejects_non_finite_input() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut a = Matrix::filled(3, 3, 1.0);
+            a.set(1, 1, bad);
+            let err = eigen_symmetric(&a).unwrap_err();
+            assert!(matches!(err, SysDsError::Numerical(_)), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn eigen_rejects_overflowing_eigenvalues() {
+        let a = Matrix::from_rows(&[&[f64::MAX, f64::MAX], &[f64::MAX, f64::MAX]]).unwrap();
+        assert!(matches!(eigen_symmetric(&a), Err(SysDsError::Numerical(_))));
     }
 
     #[test]

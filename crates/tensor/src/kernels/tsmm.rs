@@ -10,19 +10,29 @@
 //! * **sparse**: the transpose is never materialized — each CSR row `x_i`
 //!   contributes the outer product `x_i' x_i`, which is exactly why SysDS
 //!   "largely outperforms Julia and TF on sparse data" in Figure 5(b).
+//!
+//! Dense input has two kernels. The naive row-at-a-time kernel stands in
+//! for the paper's portable SysDS kernels and is built for the baseline
+//! target only. The blocked kernel (`--blas`, SysDS-B) runs through
+//! `kernels::simd` at the host's level (AVX2 or AVX-512F where present),
+//! with the same per-cell summation order, so it returns the same bits at
+//! every level.
 
+use super::simd;
 use crate::matrix::{DenseMatrix, Matrix};
 use sysds_common::{par, Result, SysDsError};
 
 /// `t(X) %*% X` (a `cols x cols` symmetric matrix).
 pub fn tsmm(x: &Matrix, threads: usize, blas: bool) -> Matrix {
     match x {
-        Matrix::Dense(d) => Matrix::Dense(tsmm_dense(d, threads, blas)),
+        Matrix::Dense(d) => Matrix::Dense(tsmm_dense(d, threads, blas.then(simd::detected))),
         Matrix::Sparse(_) => tsmm_sparse(x, threads),
     }
 }
 
-fn tsmm_dense(x: &DenseMatrix, threads: usize, blas: bool) -> DenseMatrix {
+/// Dense `t(X) %*% X` with the naive kernel (`None`) or the blocked one at
+/// the given SIMD level.
+fn tsmm_dense(x: &DenseMatrix, threads: usize, blocked: Option<simd::Level>) -> DenseMatrix {
     let (m, n) = (x.rows(), x.cols());
     // Partition input rows; each thread accumulates a private n x n buffer,
     // then buffers are reduced. For tall-skinny X (the lmDS shape) the
@@ -31,10 +41,9 @@ fn tsmm_dense(x: &DenseMatrix, threads: usize, blas: bool) -> DenseMatrix {
     let mut out = sum_partials(
         par::map(parts, |(lo, hi)| {
             let mut acc = vec![0.0f64; n * n];
-            if blas {
-                tsmm_rows_blocked(x, &mut acc, lo, hi);
-            } else {
-                tsmm_rows_naive(x, &mut acc, lo, hi);
+            match blocked {
+                Some(level) => tsmm_rows_blocked(level, x, &mut acc, lo, hi),
+                None => tsmm_rows_naive(x, &mut acc, lo, hi),
             }
             acc
         }),
@@ -67,54 +76,55 @@ fn tsmm_rows_naive(x: &DenseMatrix, acc: &mut [f64], lo: usize, hi: usize) {
     }
 }
 
-/// Blocked variant: processes 8 input rows per sweep to increase register
-/// reuse of the accumulator lines (the "native BLAS" flavor).
-fn tsmm_rows_blocked(x: &DenseMatrix, acc: &mut [f64], lo: usize, hi: usize) {
-    let n = x.cols();
-    let mut r = lo;
-    while r + 8 <= hi {
-        for i in 0..n {
-            let dst = &mut acc[i * n..(i + 1) * n];
-            let (v0, v1, v2, v3) = (
-                x.get(r, i),
-                x.get(r + 1, i),
-                x.get(r + 2, i),
-                x.get(r + 3, i),
-            );
-            let (v4, v5, v6, v7) = (
-                x.get(r + 4, i),
-                x.get(r + 5, i),
-                x.get(r + 6, i),
-                x.get(r + 7, i),
-            );
-            if v0 == 0.0
-                && v1 == 0.0
-                && v2 == 0.0
-                && v3 == 0.0
-                && v4 == 0.0
-                && v5 == 0.0
-                && v6 == 0.0
-                && v7 == 0.0
-            {
-                continue;
-            }
+simd::dispatch! {
+    /// Blocked variant: processes 8 input rows per sweep to increase
+    /// register reuse of the accumulator lines (the "native BLAS" flavor).
+    /// Each accumulator cell adds the 8 products left to right, then adds
+    /// that sum to the cell, at every `simd::Level`.
+    fn tsmm_rows_blocked(x: &DenseMatrix, acc: &mut [f64], lo: usize, hi: usize) {
+        let n = x.cols();
+        let mut r = lo;
+        while r + 8 <= hi {
             let (r0, r1, r2, r3) = (x.row(r), x.row(r + 1), x.row(r + 2), x.row(r + 3));
             let (r4, r5, r6, r7) = (x.row(r + 4), x.row(r + 5), x.row(r + 6), x.row(r + 7));
-            for j in i..n {
-                dst[j] += v0 * r0[j]
-                    + v1 * r1[j]
-                    + v2 * r2[j]
-                    + v3 * r3[j]
-                    + v4 * r4[j]
-                    + v5 * r5[j]
-                    + v6 * r6[j]
-                    + v7 * r7[j];
+            for i in 0..n {
+                let (v0, v1, v2, v3) = (r0[i], r1[i], r2[i], r3[i]);
+                let (v4, v5, v6, v7) = (r4[i], r5[i], r6[i], r7[i]);
+                if v0 == 0.0
+                    && v1 == 0.0
+                    && v2 == 0.0
+                    && v3 == 0.0
+                    && v4 == 0.0
+                    && v5 == 0.0
+                    && v6 == 0.0
+                    && v7 == 0.0
+                {
+                    continue;
+                }
+                // Equal-length slices of columns i..n keep the inner loop
+                // free of bounds checks.
+                let len = n - i;
+                let dst = &mut acc[i * n + i..][..len];
+                let (a0, a1) = (&r0[i..][..len], &r1[i..][..len]);
+                let (a2, a3) = (&r2[i..][..len], &r3[i..][..len]);
+                let (a4, a5) = (&r4[i..][..len], &r5[i..][..len]);
+                let (a6, a7) = (&r6[i..][..len], &r7[i..][..len]);
+                for j in 0..len {
+                    dst[j] += v0 * a0[j]
+                        + v1 * a1[j]
+                        + v2 * a2[j]
+                        + v3 * a3[j]
+                        + v4 * a4[j]
+                        + v5 * a5[j]
+                        + v6 * a6[j]
+                        + v7 * a7[j];
+                }
             }
+            r += 8;
         }
-        r += 8;
-    }
-    if r < hi {
-        tsmm_rows_naive(x, acc, r, hi);
+        if r < hi {
+            tsmm_rows_naive(x, acc, r, hi);
+        }
     }
 }
 
@@ -278,6 +288,53 @@ mod tests {
         let x = Matrix::zeros(5, 3);
         assert!(tmv(&x, &Matrix::zeros(4, 1), 1).is_err());
         assert!(tmv(&x, &Matrix::zeros(5, 2), 1).is_err());
+    }
+
+    fn bits(m: &DenseMatrix) -> Vec<u64> {
+        m.values().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Every supported level against the portable copy, at 1 and 4 threads.
+    fn assert_levels_match_portable(x: &DenseMatrix, what: &str) {
+        for threads in [1usize, 4] {
+            let want = bits(&tsmm_dense(x, threads, Some(simd::Level::Portable)));
+            for level in simd::supported() {
+                let got = bits(&tsmm_dense(x, threads, Some(level)));
+                assert!(got == want, "{what} threads={threads} {level:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn blocked_levels_bitwise_identical_to_portable() {
+        for rows in [0usize, 1, 7, 8, 13, 600] {
+            for cols in [1usize, 5, 8, 9, 200] {
+                let seed = (rows * 1000 + cols) as u64;
+                let x = gen::rand_uniform(rows, cols, -1.0, 1.0, 1.0, seed).to_dense();
+                assert_levels_match_portable(&x, &format!("{rows}x{cols}"));
+            }
+        }
+    }
+
+    #[test]
+    fn blocked_levels_bitwise_identical_with_zero_groups_and_non_finite() {
+        let mut x = gen::rand_uniform(40, 9, -1.0, 1.0, 1.0, 17).to_dense();
+        // Rows 8..16 are an all-zero group; column 3 of rows 0..8 and
+        // column 0 of rows 16..24 take the skip branch on their own.
+        for j in 0..9 {
+            for r in 8..16 {
+                x.set(r, j, 0.0);
+            }
+        }
+        for r in 0..8 {
+            x.set(r, 3, 0.0);
+            x.set(r + 16, 0, 0.0);
+        }
+        assert_levels_match_portable(&x, "zero groups");
+        x.set(2, 4, f64::NAN);
+        x.set(19, 7, f64::INFINITY);
+        x.set(33, 1, f64::NEG_INFINITY);
+        assert_levels_match_portable(&x, "non-finite");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use sysds::api::SystemDS;
 use sysds::Data;
-use sysds_common::{EngineConfig, ScalarValue};
+use sysds_common::{EngineConfig, ScalarValue, SysDsError};
 use sysds_tensor::Matrix;
 
 fn run(script: &str, inputs: &[(&str, Data)], outputs: &[&str]) -> sysds::api::ScriptOutputs {
@@ -111,6 +111,47 @@ fn linear_algebra_builtins() {
     // solve([[4,1],[1,3]], [1,1]) = [2/11, 3/11]
     assert!((x.get(0, 0) - 2.0 / 11.0).abs() < 1e-9);
     assert!((x.get(1, 0) - 3.0 / 11.0).abs() < 1e-9);
+}
+
+#[test]
+fn cholesky_builtin_reads_only_the_lower_triangle() {
+    let x = sysds_tensor::kernels::gen::rand_uniform(40, 12, -1.0, 1.0, 1.0, 21);
+    let a = sysds_tensor::kernels::tsmm::tsmm(&x, 1, false);
+    let mut skewed = a.clone();
+    for i in 0..12 {
+        for j in (i + 1)..12 {
+            skewed.set(i, j, a.get(i, j) * (1.0 + 1e-9));
+        }
+    }
+    let out = run(
+        "L = cholesky(A)\nLs = cholesky(S)\ncheck = sum(abs(L %*% t(L) - A))",
+        &[
+            ("A", Data::from_matrix(a)),
+            ("S", Data::from_matrix(skewed)),
+        ],
+        &["L", "Ls", "check"],
+    );
+    let bits = |name: &str| -> Vec<u64> {
+        let m = out.matrix(name).unwrap();
+        m.to_vec().iter().map(|v| v.to_bits()).collect()
+    };
+    assert_eq!(bits("L"), bits("Ls"));
+    assert!(out.f64("check").unwrap() < 1e-9);
+}
+
+#[test]
+fn eigen_of_non_finite_matrix_is_a_typed_error() {
+    let mut config = EngineConfig::default();
+    config.spill_dir = sysds_common::testing::unique_temp_dir("sysds-builtin-tests");
+    let mut s = SystemDS::with_config(config).unwrap();
+    let err = s
+        .execute(
+            "A = matrix(1, rows=3, cols=3)\nA[2,2] = 0/0\n[w, V] = eigen(A)",
+            &[],
+            &["w", "V"],
+        )
+        .unwrap_err();
+    assert!(matches!(err, SysDsError::Numerical(_)), "{err}");
 }
 
 #[test]
