@@ -25,8 +25,9 @@ fn ridge_lhs(gram: &Matrix, lambda: f64) -> Result<Matrix> {
         BinaryOp::Mul,
         &Matrix::Dense(Matrix::identity(n).to_dense()),
         lambda,
+        1,
     );
-    elementwise::binary_mm(BinaryOp::Add, gram, &reg)
+    elementwise::binary_mm(BinaryOp::Add, gram, &reg, 1)
 }
 
 fn stack_models(models: Vec<Matrix>) -> Result<Matrix> {

@@ -1,11 +1,9 @@
-//! Ablation 4 (§2.4 blocking): distributed blocked execution vs local —
-//! reblock cost, blocked matmul, blocked tsmm, and the n-d local reblock
-//! conversion of the exponentially-decreasing blocking scheme.
+//! Ablation 4 (§2.4 blocking, 2-D only): distributed blocked execution vs
+//! local — reblock cost, blocked matmul and blocked tsmm.
 
 use sysds_bench::bench;
-use sysds_dist::{BlockedMatrix, BlockedTensor};
+use sysds_dist::BlockedMatrix;
 use sysds_tensor::kernels::{gen, matmult, tsmm};
-use sysds_tensor::BasicTensorBlock;
 
 fn main() {
     println!("# ablation_dist");
@@ -38,16 +36,5 @@ fn main() {
     // Pure reblock overhead (the CSV → binary blocks step of §2.3).
     bench("reblock_512x512_bs128", || {
         BlockedMatrix::from_matrix(&a, 128, threads).unwrap()
-    });
-
-    // N-d local blocking conversion (paper: 1024² → 128³ scaled down).
-    let t = BasicTensorBlock::from_f64(
-        vec![64, 64, 16],
-        (0..64 * 64 * 16).map(|v| v as f64).collect(),
-    )
-    .unwrap();
-    bench("ndblock_reblock_16_to_4", || {
-        let coarse = BlockedTensor::from_tensor(&t, Some(16), threads).unwrap();
-        coarse.reblock_to(4).unwrap()
     });
 }

@@ -16,8 +16,9 @@ fn local_lm(x: &Matrix, y: &Matrix, lambda: f64) -> Matrix {
         BinaryOp::Mul,
         &Matrix::Dense(Matrix::identity(g.rows()).to_dense()),
         lambda,
+        1,
     );
-    g = elementwise::binary_mm(BinaryOp::Add, &g, &reg).unwrap();
+    g = elementwise::binary_mm(BinaryOp::Add, &g, &reg, 1).unwrap();
     let b = tsmm::tmv(x, y, 1).unwrap();
     solve::solve(&g, &b).unwrap()
 }

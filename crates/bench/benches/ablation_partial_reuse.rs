@@ -18,8 +18,9 @@ fn dataset(rows: usize, cols: usize) -> (Matrix, Matrix) {
     let b = indexing::column(&x, cols - 2).unwrap();
     let y = elementwise::binary_mm(
         BinaryOp::Add,
-        &elementwise::binary_ms(BinaryOp::Mul, &a, 3.0),
-        &elementwise::binary_ms(BinaryOp::Mul, &b, -2.0),
+        &elementwise::binary_ms(BinaryOp::Mul, &a, 3.0, 1),
+        &elementwise::binary_ms(BinaryOp::Mul, &b, -2.0, 1),
+        1,
     )
     .unwrap();
     (x, y)

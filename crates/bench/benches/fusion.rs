@@ -27,9 +27,9 @@ fn sum_sq_diff_template() -> FusedTemplate {
 }
 
 fn sum_sq_diff_unfused(x: &Matrix, y: &Matrix) -> f64 {
-    let d = elementwise::binary_mm(BinaryOp::Sub, x, y).unwrap();
-    let sq = elementwise::binary_ms(BinaryOp::Pow, &d, 2.0);
-    aggregate::aggregate_full(AggFn::Sum, &sq).unwrap()
+    let d = elementwise::binary_mm(BinaryOp::Sub, x, y, 1).unwrap();
+    let sq = elementwise::binary_ms(BinaryOp::Pow, &d, 2.0, 1);
+    aggregate::aggregate_full(AggFn::Sum, &sq, 1).unwrap()
 }
 
 /// sigmoid(X * W + b): a dense elementwise chain producing a matrix.
@@ -51,9 +51,9 @@ fn sigmoid_chain_template() -> FusedTemplate {
 }
 
 fn sigmoid_chain_unfused(x: &Matrix, w: &Matrix, b: f64) -> Matrix {
-    let xw = elementwise::binary_mm(BinaryOp::Mul, x, w).unwrap();
-    let shifted = elementwise::binary_ms(BinaryOp::Add, &xw, b);
-    elementwise::unary(UnaryOp::Sigmoid, &shifted)
+    let xw = elementwise::binary_mm(BinaryOp::Mul, x, w, 1).unwrap();
+    let shifted = elementwise::binary_ms(BinaryOp::Add, &xw, b, 1);
+    elementwise::unary(UnaryOp::Sigmoid, &shifted, 1)
 }
 
 fn main() {
@@ -109,9 +109,9 @@ fn main() {
     };
     let sparse_inputs = [FusedInput::Matrix(&xs)];
     bench("sparse_rowsums_unfused", || {
-        let scaled = elementwise::binary_ms(BinaryOp::Mul, &xs, 0.5);
-        let sq = elementwise::binary_ms(BinaryOp::Pow, &scaled, 2.0);
-        aggregate::aggregate_axis(AggFn::Sum, Direction::Row, &sq).unwrap()
+        let scaled = elementwise::binary_ms(BinaryOp::Mul, &xs, 0.5, 1);
+        let sq = elementwise::binary_ms(BinaryOp::Pow, &scaled, 2.0, 1);
+        aggregate::aggregate_axis(AggFn::Sum, Direction::Row, &sq, 1).unwrap()
     });
     bench("sparse_rowsums_fused", || {
         fused::eval(&ts, &sparse_inputs, threads).unwrap()

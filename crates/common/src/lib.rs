@@ -1,8 +1,8 @@
 //! Shared foundations for the `systemds-rs` workspace.
 //!
 //! This crate hosts the pieces every other crate needs: the workspace-wide
-//! error type ([`SysDsError`]), the value-type lattice of the heterogeneous
-//! tensor data model ([`ValueType`], [`ScalarValue`]), engine configuration
+//! error type ([`SysDsError`]), the value types of frame columns and DML
+//! scalars ([`ValueType`], [`ScalarValue`]), engine configuration
 //! ([`config::EngineConfig`]), a fast non-cryptographic hasher used for
 //! lineage keys ([`hash`]), small deterministic RNG utilities ([`rng`]), and
 //! the scoped-thread helper every parallel operator goes through ([`par`]).

@@ -1,18 +1,16 @@
-//! Value types of the heterogeneous tensor data model (paper §2.4).
+//! Value types of frame columns and DML scalars.
 //!
-//! A `BasicTensorBlock` is homogeneous over one [`ValueType`]; a
-//! `DataTensorBlock` carries a schema (one [`ValueType`] per column).
-//! Scalars in the DML runtime are represented by [`ScalarValue`].
+//! A frame carries a schema of one [`ValueType`] per column; scalars in the
+//! DML runtime are represented by [`ScalarValue`]. Matrices are always
+//! `f64`, so the paper's `Fp32`/`Int32` tensor types have no counterpart.
 
 use crate::error::{Result, SysDsError};
 use std::fmt;
 
-/// The six value types supported by SystemDS tensor blocks.
+/// The value types of frame columns and scalars.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ValueType {
-    Fp32,
     Fp64,
-    Int32,
     Int64,
     Boolean,
     /// Strings (the paper includes JSON under this type).
@@ -20,57 +18,15 @@ pub enum ValueType {
 }
 
 impl ValueType {
-    /// Whether this type participates in numeric promotion.
+    /// Whether this type is numeric (booleans count as 0/1).
     pub fn is_numeric(self) -> bool {
         !matches!(self, ValueType::String)
     }
 
-    /// Size of one element in bytes for dense storage (strings estimated).
-    pub fn element_size(self) -> usize {
-        match self {
-            ValueType::Fp32 | ValueType::Int32 => 4,
-            ValueType::Fp64 | ValueType::Int64 => 8,
-            ValueType::Boolean => 1,
-            // Average in-memory string estimate, as used for memory budgeting.
-            ValueType::String => 32,
-        }
-    }
-
-    /// Numeric promotion lattice: the smallest type able to represent both.
-    pub fn promote(self, other: ValueType) -> ValueType {
-        use ValueType::*;
-        match (self, other) {
-            (String, _) | (_, String) => String,
-            (Fp64, _) | (_, Fp64) => Fp64,
-            (Fp32, Int64) | (Int64, Fp32) => Fp64,
-            (Fp32, _) | (_, Fp32) => Fp32,
-            (Int64, _) | (_, Int64) => Int64,
-            (Int32, _) | (_, Int32) => Int32,
-            (Boolean, Boolean) => Boolean,
-        }
-    }
-
-    /// Parse the external name used in `.mtd` metadata and frame schemas.
-    pub fn from_name(name: &str) -> Result<ValueType> {
-        match name {
-            "fp32" | "float" => Ok(ValueType::Fp32),
-            "fp64" | "double" => Ok(ValueType::Fp64),
-            "int32" | "int" => Ok(ValueType::Int32),
-            "int64" | "long" => Ok(ValueType::Int64),
-            "bool" | "boolean" => Ok(ValueType::Boolean),
-            "string" | "str" => Ok(ValueType::String),
-            other => Err(SysDsError::TypeError(format!(
-                "unknown value type '{other}'"
-            ))),
-        }
-    }
-
-    /// External name, inverse of [`ValueType::from_name`].
+    /// External name used in frame schemas.
     pub fn name(self) -> &'static str {
         match self {
-            ValueType::Fp32 => "fp32",
             ValueType::Fp64 => "fp64",
-            ValueType::Int32 => "int32",
             ValueType::Int64 => "int64",
             ValueType::Boolean => "boolean",
             ValueType::String => "string",
@@ -179,36 +135,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn promotion_lattice() {
-        use ValueType::*;
-        assert_eq!(Fp32.promote(Int64), Fp64);
-        assert_eq!(Int32.promote(Int64), Int64);
-        assert_eq!(Boolean.promote(Boolean), Boolean);
-        assert_eq!(Boolean.promote(Int32), Int32);
-        assert_eq!(Fp64.promote(String), String);
-        assert_eq!(Fp32.promote(Fp32), Fp32);
-    }
-
-    #[test]
-    fn promotion_is_commutative() {
-        use ValueType::*;
-        for a in [Fp32, Fp64, Int32, Int64, Boolean, String] {
-            for b in [Fp32, Fp64, Int32, Int64, Boolean, String] {
-                assert_eq!(a.promote(b), b.promote(a));
-            }
-        }
-    }
-
-    #[test]
-    fn name_round_trip() {
-        use ValueType::*;
-        for vt in [Fp32, Fp64, Int32, Int64, Boolean, String] {
-            assert_eq!(ValueType::from_name(vt.name()).unwrap(), vt);
-        }
-        assert!(ValueType::from_name("complex").is_err());
-    }
-
-    #[test]
     fn scalar_coercions() {
         assert_eq!(ScalarValue::Str("3.5".into()).as_f64().unwrap(), 3.5);
         assert_eq!(ScalarValue::F64(3.9).as_i64().unwrap(), 3);
@@ -225,12 +151,5 @@ mod tests {
         assert_eq!(ScalarValue::F64(2.5).to_display_string(), "2.5");
         assert_eq!(ScalarValue::Bool(false).to_display_string(), "FALSE");
         assert_eq!(ScalarValue::I64(-7).to_display_string(), "-7");
-    }
-
-    #[test]
-    fn element_sizes() {
-        assert_eq!(ValueType::Fp64.element_size(), 8);
-        assert_eq!(ValueType::Boolean.element_size(), 1);
-        assert_eq!(ValueType::Fp32.element_size(), 4);
     }
 }

@@ -281,14 +281,6 @@ impl SystemDS {
         )?)))
     }
 
-    /// Scatter a matrix across remote TCP federated sites and wrap it as a
-    /// federated input value. Convenience over [`SystemDS::connect_sites`]
-    /// + [`SystemDS::federate_with`].
-    pub fn federate_remote(&self, m: &Matrix, addrs: &[&str], cfg: NetConfig) -> Result<Data> {
-        let sites = self.connect_sites(addrs, cfg)?;
-        self.federate_with(m, &sites)
-    }
-
     /// Wrap a matrix as an input value.
     pub fn matrix(&self, m: Matrix) -> Result<Data> {
         self.ctx.wrap_matrix(m)

@@ -414,6 +414,7 @@ mod tests {
             sysds_tensor::kernels::BinaryOp::Mul,
             &x,
             2.0,
+            1,
         );
         assert!(grads[0].approx_eq(&expect, 1e-9));
     }

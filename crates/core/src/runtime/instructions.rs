@@ -289,7 +289,7 @@ fn dispatch(op: &HopOp, exec: ExecType, inputs: &[&Slot], ctx: &ExecCtx) -> Disp
                     },
                     _ => Data::Scalar(ScalarValue::F64(u.apply(s.as_f64()?))),
                 },
-                d => ctx.wrap_matrix(elementwise::unary_mt(
+                d => ctx.wrap_matrix(elementwise::unary(
                     *u,
                     &*d.as_matrix()?,
                     ctx.config.num_threads,
@@ -352,11 +352,11 @@ fn dispatch(op: &HopOp, exec: ExecType, inputs: &[&Slot], ctx: &ExecCtx) -> Disp
             let threads = ctx.config.num_threads;
             match d {
                 Direction::Full => Ok((
-                    Data::from_f64(aggregate::aggregate_full_mt(*f, &x, threads)?),
+                    Data::from_f64(aggregate::aggregate_full(*f, &x, threads)?),
                     None,
                 )),
                 _ => Ok((
-                    ctx.wrap_matrix(aggregate::aggregate_axis_mt(*f, *d, &x, threads)?)?,
+                    ctx.wrap_matrix(aggregate::aggregate_axis(*f, *d, &x, threads)?)?,
                     None,
                 )),
             }
@@ -453,12 +453,12 @@ fn binary_dispatch(
         }
         (Data::Scalar(a), m) => {
             let out =
-                elementwise::binary_sm_mt(b, a.as_f64()?, &*m.as_matrix()?, ctx.config.num_threads);
+                elementwise::binary_sm(b, a.as_f64()?, &*m.as_matrix()?, ctx.config.num_threads);
             Ok((ctx.wrap_matrix(out)?, None))
         }
         (m, Data::Scalar(c)) => {
             let out =
-                elementwise::binary_ms_mt(b, &*m.as_matrix()?, c.as_f64()?, ctx.config.num_threads);
+                elementwise::binary_ms(b, &*m.as_matrix()?, c.as_f64()?, ctx.config.num_threads);
             Ok((ctx.wrap_matrix(out)?, None))
         }
         (Data::Federated(a), Data::Federated(c)) => {
@@ -474,7 +474,7 @@ fn binary_dispatch(
                     BlockedMatrix::from_matrix(&mc, ctx.config.block_size, ctx.config.num_threads)?;
                 da.elementwise(b, &db)?.to_matrix()
             } else {
-                elementwise::binary_mm_mt(b, &ma, &mc, ctx.config.num_threads)?
+                elementwise::binary_mm(b, &ma, &mc, ctx.config.num_threads)?
             };
             Ok((ctx.wrap_matrix(out)?, None))
         }
@@ -579,14 +579,14 @@ fn fed_agg(
         (AggFn::Sum, Direction::Full) => {
             let cs = fed.col_sums()?;
             Ok((
-                Data::from_f64(aggregate::aggregate_full(AggFn::Sum, &cs)?),
+                Data::from_f64(aggregate::aggregate_full(AggFn::Sum, &cs, 1)?),
                 None,
             ))
         }
         (AggFn::SumSq, Direction::Full) => Ok((Data::from_f64(fed.sum_sq()?), None)),
         (AggFn::Mean, Direction::Full) => {
             let cs = fed.col_sums()?;
-            let total = aggregate::aggregate_full(AggFn::Sum, &cs)?;
+            let total = aggregate::aggregate_full(AggFn::Sum, &cs, 1)?;
             Ok((
                 Data::from_f64(total / (fed.rows() * fed.cols()) as f64),
                 None,
@@ -598,12 +598,24 @@ fn fed_agg(
     }
 }
 
+/// The `rows`/`cols` arguments of `rand` and `matrix`: negative values and
+/// shapes whose dense `f64` storage exceeds `isize::MAX` bytes are runtime
+/// errors.
+fn matrix_dims(rows: &Data, cols: &Data) -> Result<(usize, usize)> {
+    let (r, c) = (rows.as_i64()?, cols.as_i64()?);
+    match (usize::try_from(r), usize::try_from(c)) {
+        (Ok(ru), Ok(cu)) if sysds_tensor::checked_cells(ru, cu).is_some() => Ok((ru, cu)),
+        _ => Err(SysDsError::runtime(format!(
+            "invalid matrix dimensions {r}x{c}"
+        ))),
+    }
+}
+
 fn nary_dispatch(name: &str, inputs: &[&Slot], ctx: &ExecCtx) -> DispatchResult {
     let data = |k: usize| -> &Data { &inputs[k].data };
     match name {
         "rand" => {
-            let rows = data(0).as_i64()? as usize;
-            let cols = data(1).as_i64()? as usize;
+            let (rows, cols) = matrix_dims(data(0), data(1))?;
             let min = data(2).as_f64()?;
             let max = data(3).as_f64()?;
             let sparsity = data(4).as_f64()?;
@@ -631,8 +643,7 @@ fn nary_dispatch(name: &str, inputs: &[&Slot], ctx: &ExecCtx) -> DispatchResult 
             Ok((ctx.wrap_matrix(m)?, lin))
         }
         "matrix" => {
-            let rows = data(1).as_i64()? as usize;
-            let cols = data(2).as_i64()? as usize;
+            let (rows, cols) = matrix_dims(data(1), data(2))?;
             let m = match data(0) {
                 Data::Scalar(s) => Matrix::filled(rows, cols, s.as_f64()?),
                 d => reorg::reshape(&*d.as_matrix()?, rows, cols)?,
@@ -808,6 +819,9 @@ fn nary_dispatch(name: &str, inputs: &[&Slot], ctx: &ExecCtx) -> DispatchResult 
             let format = data(1).as_scalar()?.to_display_string();
             let data_type = data(2).as_scalar()?.to_display_string();
             let header = data(3).as_bool()?;
+            // Size propagation skips a sidecar it cannot parse; reading the
+            // data reports it, so a malformed `.mtd` is an input error.
+            sysds_io::Metadata::load(&path)?;
             let lin = trace_enabled(ctx).then(|| LineageItem::leaf(format!("read:{path}")));
             let mut desc = sysds_io::FormatDescriptor::csv().with_header(header);
             if format == "tsv" {

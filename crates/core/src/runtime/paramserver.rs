@@ -49,9 +49,14 @@ impl Default for PsConfig {
 /// loss, `t(X_b) (X_b w - y_b) / |b|`.
 fn linreg_gradient(xb: &Matrix, yb: &Matrix, w: &Matrix) -> Result<Matrix> {
     let pred = matmult::matmul(xb, w, 1, false)?;
-    let resid = elementwise::binary_mm(BinaryOp::Sub, &pred, yb)?;
+    let resid = elementwise::binary_mm(BinaryOp::Sub, &pred, yb, 1)?;
     let g = tsmm::tmv(xb, &resid, 1)?;
-    Ok(elementwise::binary_ms(BinaryOp::Div, &g, xb.rows() as f64))
+    Ok(elementwise::binary_ms(
+        BinaryOp::Div,
+        &g,
+        xb.rows() as f64,
+        1,
+    ))
 }
 
 /// Train a linear model with a local parameter server. Returns the weights.
@@ -113,16 +118,16 @@ fn train_bsp(
             for gm in g? {
                 acc = Some(match acc {
                     None => gm,
-                    Some(a) => elementwise::binary_mm(BinaryOp::Add, &a, &gm)?,
+                    Some(a) => elementwise::binary_mm(BinaryOp::Add, &a, &gm, 1)?,
                 });
                 count += 1;
             }
         }
         if let Some(total) = acc {
-            let avg = elementwise::binary_ms(BinaryOp::Div, &total, count as f64);
-            let step = elementwise::binary_ms(BinaryOp::Mul, &avg, config.learning_rate);
+            let avg = elementwise::binary_ms(BinaryOp::Div, &total, count as f64, 1);
+            let step = elementwise::binary_ms(BinaryOp::Mul, &avg, config.learning_rate, 1);
             let mut w = write(weights);
-            *w = elementwise::binary_mm(BinaryOp::Sub, &w, &step)?;
+            *w = elementwise::binary_mm(BinaryOp::Sub, &w, &step, 1)?;
         }
     }
     Ok(())
@@ -170,9 +175,9 @@ fn train_asp(
                 // Apply each gradient as it arrives.
                 let mut applied = 0usize;
                 while let Ok(g) = rx.recv() {
-                    let step = elementwise::binary_ms(BinaryOp::Mul, &g, config.learning_rate);
+                    let step = elementwise::binary_ms(BinaryOp::Mul, &g, config.learning_rate, 1);
                     let mut w = write(weights);
-                    *w = elementwise::binary_mm(BinaryOp::Sub, &w, &step)?;
+                    *w = elementwise::binary_mm(BinaryOp::Sub, &w, &step, 1)?;
                     applied += 1;
                 }
                 debug_assert!(applied <= expected);

@@ -89,7 +89,7 @@ impl BlockedMatrix {
         }
         let joined = self.blocks.clone().join(other.blocks.clone());
         let blocks = joined.map_values(|_, (a, b)| {
-            elementwise::binary_mm(op, &a, &b).expect("aligned blocks share shapes")
+            elementwise::binary_mm(op, &a, &b, 1).expect("aligned blocks share shapes")
         });
         Ok(BlockedMatrix {
             rows: self.rows,
@@ -126,7 +126,7 @@ impl BlockedMatrix {
             vec![((br, bc), prod)]
         });
         let blocks = partials.reduce_by_key(|a, b| {
-            elementwise::binary_mm(BinaryOp::Add, &a, &b).expect("partial products share shapes")
+            elementwise::binary_mm(BinaryOp::Add, &a, &b, 1).expect("partial products share shapes")
         });
         Ok(BlockedMatrix {
             rows: self.rows,
@@ -150,7 +150,7 @@ impl BlockedMatrix {
             .map_values(move |_, block| tsmm::tsmm(&block, threads, false));
         partials
             .reduce(|a, b| {
-                elementwise::binary_mm(BinaryOp::Add, &a, &b).expect("gram matrices share shape")
+                elementwise::binary_mm(BinaryOp::Add, &a, &b, 1).expect("gram matrices share shape")
             })
             .map(Matrix::compact)
             .ok_or_else(|| SysDsError::runtime("tsmm over empty blocked matrix"))
@@ -179,6 +179,7 @@ impl BlockedMatrix {
                 sysds_tensor::kernels::aggregate::aggregate_full(
                     sysds_tensor::kernels::AggFn::Sum,
                     &block,
+                    1,
                 )
                 .expect("sum of non-empty block")
             })
@@ -191,7 +192,7 @@ impl BlockedMatrix {
         let blocks = self
             .blocks
             .clone()
-            .map_values(move |_, block| elementwise::binary_ms(op, &block, s));
+            .map_values(move |_, block| elementwise::binary_ms(op, &block, s, 1));
         BlockedMatrix {
             rows: self.rows,
             cols: self.cols,
@@ -245,7 +246,7 @@ mod tests {
     fn distributed_elementwise_matches_local() {
         let a = gen::rand_uniform(20, 15, -1.0, 1.0, 1.0, 125);
         let b = gen::rand_uniform(20, 15, -1.0, 1.0, 1.0, 126);
-        let expect = elementwise::binary_mm(BinaryOp::Mul, &a, &b).unwrap();
+        let expect = elementwise::binary_mm(BinaryOp::Mul, &a, &b, 1).unwrap();
         let da = BlockedMatrix::from_matrix(&a, 7, 3).unwrap();
         let db = BlockedMatrix::from_matrix(&b, 7, 3).unwrap();
         let got = da.elementwise(BinaryOp::Mul, &db).unwrap().to_matrix();
@@ -281,9 +282,12 @@ mod tests {
     fn distributed_sum_and_scalar_op() {
         let m = gen::rand_uniform(30, 30, 0.0, 1.0, 1.0, 130);
         let d = BlockedMatrix::from_matrix(&m, 9, 3).unwrap();
-        let local =
-            sysds_tensor::kernels::aggregate::aggregate_full(sysds_tensor::kernels::AggFn::Sum, &m)
-                .unwrap();
+        let local = sysds_tensor::kernels::aggregate::aggregate_full(
+            sysds_tensor::kernels::AggFn::Sum,
+            &m,
+            1,
+        )
+        .unwrap();
         assert!((d.sum() - local).abs() < 1e-9);
         let scaled = d.scalar_op(BinaryOp::Mul, 2.0);
         assert!((scaled.sum() - 2.0 * local).abs() < 1e-9);

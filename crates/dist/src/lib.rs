@@ -2,21 +2,19 @@
 //!
 //! SystemDS executes distributed operations on Spark as RDDs of
 //! `(TensorIndexes, TensorBlock)` pairs. This crate reproduces that
-//! execution model on a single node:
+//! execution model on a single node for 2-D matrices:
 //!
 //! * [`collection`] — an RDD-like partitioned collection with
 //!   `map`/`reduce_by_key`/`join` executed on a thread pool;
 //! * [`blocked`] — blocked matrices (fixed-size square tiles, aligned
 //!   joins) with distributed matmul, tsmm, element-wise ops, and
-//!   aggregations;
-//! * [`ndblock`] — the paper's exponentially-decreasing n-dimensional
-//!   blocking scheme (1024², 128³, 32⁴, 16⁵, 8⁶, 8⁷) and local conversion
-//!   between blockings of different dimensionality.
+//!   aggregations.
+//!
+//! The paper's exponentially-decreasing n-dimensional blocking scheme is
+//! not reproduced: every dataset here is a 2-D matrix.
 
 pub mod blocked;
 pub mod collection;
-pub mod ndblock;
 
 pub use blocked::BlockedMatrix;
 pub use collection::DistCollection;
-pub use ndblock::{block_edge, BlockedTensor};

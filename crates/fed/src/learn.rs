@@ -31,8 +31,9 @@ pub fn federated_lm(x: &FederatedMatrix, y: &FederatedMatrix, lambda: f64) -> Re
             BinaryOp::Mul,
             &Matrix::Dense(Matrix::identity(n).to_dense()),
             lambda,
+            1,
         );
-        gram = elementwise::binary_mm(BinaryOp::Add, &gram, &reg)?;
+        gram = elementwise::binary_mm(BinaryOp::Add, &gram, &reg, 1)?;
     }
     let xty = x.tmv(y)?;
     solve::solve(&gram, &xty)
@@ -79,21 +80,22 @@ impl FederatedParamServer {
             })?;
             grad = Some(match grad {
                 None => g,
-                Some(acc) => elementwise::binary_mm(BinaryOp::Add, &acc, &g)?,
+                Some(acc) => elementwise::binary_mm(BinaryOp::Add, &acc, &g, 1)?,
             });
         }
         let mut grad = grad.ok_or_else(|| SysDsError::Federated("no partitions".into()))?;
         // Average over the global row count and add the L2 term.
-        grad = elementwise::binary_ms(BinaryOp::Div, &grad, x.rows() as f64);
+        grad = elementwise::binary_ms(BinaryOp::Div, &grad, x.rows() as f64, 1);
         if self.lambda != 0.0 {
-            let reg = elementwise::binary_ms(BinaryOp::Mul, &self.weights, self.lambda);
-            grad = elementwise::binary_mm(BinaryOp::Add, &grad, &reg)?;
+            let reg = elementwise::binary_ms(BinaryOp::Mul, &self.weights, self.lambda, 1);
+            grad = elementwise::binary_mm(BinaryOp::Add, &grad, &reg, 1)?;
         }
-        let step = elementwise::binary_ms(BinaryOp::Mul, &grad, self.learning_rate);
-        self.weights = elementwise::binary_mm(BinaryOp::Sub, &self.weights, &step)?;
+        let step = elementwise::binary_ms(BinaryOp::Mul, &grad, self.learning_rate, 1);
+        self.weights = elementwise::binary_mm(BinaryOp::Sub, &self.weights, &step, 1)?;
         let norm = sysds_tensor::kernels::aggregate::aggregate_full(
             sysds_tensor::kernels::AggFn::SumSq,
             &grad,
+            1,
         )?
         .sqrt();
         Ok(norm)
@@ -139,8 +141,9 @@ mod tests {
                 BinaryOp::Mul,
                 &Matrix::Dense(Matrix::identity(g.rows()).to_dense()),
                 lambda,
+                1,
             );
-            g = elementwise::binary_mm(BinaryOp::Add, &g, &reg).unwrap();
+            g = elementwise::binary_mm(BinaryOp::Add, &g, &reg, 1).unwrap();
         }
         let b = tsmm::tmv(x, y, 1).unwrap();
         solve::solve(&g, &b).unwrap()
@@ -225,8 +228,12 @@ mod tests {
         free.train(&fx, &fy, 200, 1e-10).unwrap();
         reg.train(&fx, &fy, 200, 1e-10).unwrap();
         let norm = |m: &Matrix| {
-            sysds_tensor::kernels::aggregate::aggregate_full(sysds_tensor::kernels::AggFn::SumSq, m)
-                .unwrap()
+            sysds_tensor::kernels::aggregate::aggregate_full(
+                sysds_tensor::kernels::AggFn::SumSq,
+                m,
+                1,
+            )
+            .unwrap()
         };
         assert!(norm(reg.weights()) < norm(free.weights()));
     }

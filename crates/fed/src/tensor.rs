@@ -283,7 +283,7 @@ impl FederatedMatrix {
 }
 
 fn elementwise_add(a: &Matrix, b: &Matrix) -> Result<Matrix> {
-    sysds_tensor::kernels::elementwise::binary_mm(BinaryOp::Add, a, b)
+    sysds_tensor::kernels::elementwise::binary_mm(BinaryOp::Add, a, b, 1)
 }
 
 #[cfg(test)]
@@ -353,6 +353,7 @@ mod tests {
         let local_ss = sysds_tensor::kernels::aggregate::aggregate_full(
             sysds_tensor::kernels::AggFn::SumSq,
             &local,
+            1,
         )
         .unwrap();
         assert!((fp.sum_sq().unwrap() - local_ss).abs() < 1e-9);
@@ -370,10 +371,12 @@ mod tests {
         let resid = pred.binary_op(BinaryOp::Sub, &fy).unwrap();
         let local_pred = matmult::matmul(&x, &w, 1, false).unwrap();
         let local_resid =
-            sysds_tensor::kernels::elementwise::binary_mm(BinaryOp::Sub, &local_pred, &y).unwrap();
+            sysds_tensor::kernels::elementwise::binary_mm(BinaryOp::Sub, &local_pred, &y, 1)
+                .unwrap();
         let local_ss = sysds_tensor::kernels::aggregate::aggregate_full(
             sysds_tensor::kernels::AggFn::SumSq,
             &local_resid,
+            1,
         )
         .unwrap();
         assert!((resid.sum_sq().unwrap() - local_ss).abs() < 1e-9);
@@ -389,6 +392,7 @@ mod tests {
             sysds_tensor::kernels::AggFn::Sum,
             sysds_tensor::kernels::Direction::Col,
             &m,
+            1,
         )
         .unwrap();
         assert!(got.approx_eq(&expect, 1e-9));

@@ -239,31 +239,31 @@ fn execute(
             out,
         } => {
             let x = get(vars, &var)?;
-            let r = elementwise::binary_ms(op, x, scalar);
+            let r = elementwise::binary_ms(op, x, scalar, 1);
             vars.insert(out, r);
             FedResponse::Ok
         }
         FedRequest::BinaryOpKeep { lhs, rhs, op, out } => {
             let a = get(vars, &lhs)?;
             let b = get(vars, &rhs)?;
-            let r = elementwise::binary_mm(op, a, b)?;
+            let r = elementwise::binary_mm(op, a, b, 1)?;
             vars.insert(out, r);
             FedResponse::Ok
         }
         FedRequest::ColSums { var } => {
             let x = get(vars, &var)?;
-            FedResponse::Aggregate(aggregate::aggregate_axis(AggFn::Sum, Direction::Col, x)?)
+            FedResponse::Aggregate(aggregate::aggregate_axis(AggFn::Sum, Direction::Col, x, 1)?)
         }
         FedRequest::SumSq { var } => {
             let x = get(vars, &var)?;
-            FedResponse::Scalar(aggregate::aggregate_full(AggFn::SumSq, x)?)
+            FedResponse::Scalar(aggregate::aggregate_full(AggFn::SumSq, x, 1)?)
         }
         FedRequest::NumRows { var } => FedResponse::Scalar(get(vars, &var)?.rows() as f64),
         FedRequest::LinRegGradient { x, y, w } => {
             let xv = get(vars, &x)?;
             let yv = get(vars, &y)?;
             let pred = matmult::matmul(xv, &w, threads, false)?;
-            let resid = elementwise::binary_mm(BinaryOp::Sub, &pred, yv)?;
+            let resid = elementwise::binary_mm(BinaryOp::Sub, &pred, yv, 1)?;
             FedResponse::Aggregate(tsmm::tmv(xv, &resid, threads)?)
         }
         FedRequest::Ping | FedRequest::Shutdown => FedResponse::Ok,
@@ -313,7 +313,7 @@ mod tests {
             .request_scalar(FedRequest::SumSq { var: "P".into() })
             .unwrap();
         let local = matmult::matmul(&x, &v, 1, false).unwrap();
-        let expect = aggregate::aggregate_full(AggFn::SumSq, &local).unwrap();
+        let expect = aggregate::aggregate_full(AggFn::SumSq, &local, 1).unwrap();
         assert!((ss - expect).abs() < 1e-9);
     }
 
@@ -330,7 +330,7 @@ mod tests {
             })
             .unwrap();
         let pred = matmult::matmul(&x, &wvec, 1, false).unwrap();
-        let resid = elementwise::binary_mm(BinaryOp::Sub, &pred, &y).unwrap();
+        let resid = elementwise::binary_mm(BinaryOp::Sub, &pred, &y, 1).unwrap();
         let expect = tsmm::tmv(&x, &resid, 1).unwrap();
         assert!(g.approx_eq(&expect, 1e-9));
     }

@@ -1,7 +1,7 @@
 //! The `Frame` container: a 2-D table with a per-column schema.
 
 use sysds_common::{Result, ScalarValue, SysDsError, ValueType};
-use sysds_tensor::{DataTensorBlock, Matrix};
+use sysds_tensor::Matrix;
 
 /// One typed column of a frame.
 #[derive(Debug, Clone, PartialEq)]
@@ -235,20 +235,6 @@ impl Frame {
         Ok(f)
     }
 
-    /// Convert to the heterogeneous tensor data model (paper §2.4).
-    pub fn to_data_tensor(&self) -> Result<DataTensorBlock> {
-        let rows = self.rows();
-        let mut tensors = Vec::with_capacity(self.cols());
-        for col in &self.columns {
-            let mut t = sysds_tensor::BasicTensorBlock::zeros(col.value_type(), vec![rows]);
-            for i in 0..rows {
-                t.set(&[i], col.get(i))?;
-            }
-            tensors.push(t);
-        }
-        DataTensorBlock::from_columns(tensors)
-    }
-
     /// Detect the tightest value type for each string column and convert
     /// (paper §3.2 "schema alignment"): boolean ⊂ int64 ⊂ fp64 ⊂ string.
     pub fn detect_schema(&self) -> Frame {
@@ -428,15 +414,6 @@ mod tests {
         // missing value became NaN
         let vals = f.column(4).unwrap().as_f64().unwrap();
         assert!(vals[1].is_nan());
-    }
-
-    #[test]
-    fn to_data_tensor_schema_matches() {
-        let f = sample();
-        let t = f.to_data_tensor().unwrap();
-        assert_eq!(t.dims(), &[3, 3]);
-        assert_eq!(t.schema(), f.schema().as_slice());
-        assert_eq!(t.get(&[0, 2]).unwrap(), ScalarValue::Str("graz".into()));
     }
 
     #[test]

@@ -125,8 +125,8 @@ mod tests {
         let m = gen::rand_uniform(200, 3, 5.0, 10.0, 1.0, 91);
         let rules = scale_fit(&m, true, true);
         let s = scale_apply(&m, &rules).unwrap();
-        let means = aggregate::aggregate_axis(AggFn::Mean, Direction::Col, &s).unwrap();
-        let sds = aggregate::aggregate_axis(AggFn::Sd, Direction::Col, &s).unwrap();
+        let means = aggregate::aggregate_axis(AggFn::Mean, Direction::Col, &s, 1).unwrap();
+        let sds = aggregate::aggregate_axis(AggFn::Sd, Direction::Col, &s, 1).unwrap();
         for j in 0..3 {
             assert!(means.get(0, j).abs() < 1e-10);
             assert!((sds.get(0, j) - 1.0).abs() < 1e-10);

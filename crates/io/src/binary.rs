@@ -17,7 +17,7 @@ use std::fs;
 use std::path::Path;
 use sysds_common::{Result, SysDsError};
 use sysds_tensor::kernels::indexing;
-use sysds_tensor::{DenseMatrix, Matrix, SparseMatrix};
+use sysds_tensor::{checked_cells, DenseMatrix, Matrix, SparseMatrix};
 
 const MAGIC: &[u8; 4] = b"SDSB";
 const VERSION: u32 = 1;
@@ -96,8 +96,7 @@ fn put_u64(buf: &mut Vec<u8>, v: usize) {
 
 /// `rows * cols`, rejected when the dense byte size would overflow.
 fn cell_count(rows: usize, cols: usize) -> Result<usize> {
-    rows.checked_mul(cols)
-        .filter(|cells| cells.checked_mul(8).is_some())
+    checked_cells(rows, cols)
         .ok_or_else(|| SysDsError::Format(format!("matrix shape {rows}x{cols} overflows")))
 }
 

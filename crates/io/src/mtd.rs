@@ -94,9 +94,16 @@ impl Metadata {
                 _ => {} // forward compatible: ignore unknown keys
             }
         }
+        let rows = rows.ok_or_else(|| SysDsError::Format("mtd: missing rows".into()))?;
+        let cols = cols.ok_or_else(|| SysDsError::Format("mtd: missing cols".into()))?;
+        if sysds_tensor::checked_cells(rows, cols).is_none() {
+            return Err(SysDsError::Format(format!(
+                "mtd: matrix shape {rows}x{cols} overflows"
+            )));
+        }
         Ok(Metadata {
-            rows: rows.ok_or_else(|| SysDsError::Format("mtd: missing rows".into()))?,
-            cols: cols.ok_or_else(|| SysDsError::Format("mtd: missing cols".into()))?,
+            rows,
+            cols,
             nnz,
             format: format.unwrap_or_else(|| "csv".into()),
             header,
@@ -183,6 +190,17 @@ mod tests {
         assert!(Metadata::from_json("not json").is_err());
         assert!(Metadata::from_json(r#"{"rows": 2}"#).is_err());
         assert!(Metadata::from_json(r#"{"rows": "x", "cols": 1}"#).is_err());
+    }
+
+    /// A sidecar whose `rows * cols` wraps `usize` once panicked size
+    /// propagation (`Metadata::sparsity`); it is malformed input.
+    #[test]
+    fn overflowing_dimensions_rejected() {
+        let text = r#"{"rows": 4294967296, "cols": 4294967296, "nnz": 4, "format": "csv"}"#;
+        assert!(matches!(
+            Metadata::from_json(text),
+            Err(SysDsError::Format(_))
+        ));
     }
 
     #[test]

@@ -4,7 +4,6 @@
 use sysds_common::testing::check;
 use sysds_io::FormatDescriptor;
 use sysds_tensor::kernels::gen;
-use sysds_tensor::Matrix;
 
 const CASES: u64 = 24;
 
@@ -121,26 +120,4 @@ fn frame_csv_round_trip_strings() {
 #[test]
 fn frame_csv_round_trip_single_empty_cell() {
     frame_csv_round_trip(vec![String::new()], 1);
-}
-
-#[test]
-fn compressed_matrix_round_trip() {
-    check("compressed_matrix_round_trip", CASES, |g| {
-        let rows = g.usize(1..120);
-        let cols = g.usize(1..8);
-        let levels = g.usize(1..12);
-        let seed = g.u64();
-        // quantized data → mixture of DDC and RLE encodings
-        let raw = gen::rand_uniform(rows, cols, 0.0, levels as f64, 1.0, seed);
-        let d = raw.to_dense();
-        let data: Vec<f64> = d.values().iter().map(|v| v.floor()).collect();
-        let m = Matrix::from_vec(rows, cols, data).unwrap();
-        let c = sysds_tensor::CompressedMatrix::compress(&m);
-        assert!(c.decompress().approx_eq(&m, 0.0));
-        // compressed ops agree with dense ops
-        let v = gen::rand_uniform(cols, 1, -1.0, 1.0, 1.0, seed ^ 7);
-        let got = c.mat_vec(&v).unwrap();
-        let expect = sysds_tensor::kernels::matmult::matmul(&m, &v, 1, false).unwrap();
-        assert!(got.approx_eq(&expect, 1e-9));
-    });
 }

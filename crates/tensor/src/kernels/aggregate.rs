@@ -55,8 +55,9 @@ impl Kahan {
     }
 }
 
-/// Full aggregation to a scalar.
-pub fn aggregate_full(f: AggFn, m: &Matrix) -> Result<f64> {
+/// Full aggregation to a scalar on one thread; [`aggregate_full`] falls
+/// back to it for sparse and single-partition inputs.
+fn full_sequential(f: AggFn, m: &Matrix) -> Result<f64> {
     let cells = (m.rows() * m.cols()) as f64;
     if cells == 0.0 {
         return match f {
@@ -78,15 +79,15 @@ pub fn aggregate_full(f: AggFn, m: &Matrix) -> Result<f64> {
 /// Full aggregation to a scalar, row-partitioned over `threads` for dense
 /// inputs. Per-partition Kahan compensation is preserved and merged, so the
 /// result stays within a few ulps of the sequential kernel.
-pub fn aggregate_full_mt(f: AggFn, m: &Matrix, threads: usize) -> Result<f64> {
+pub fn aggregate_full(f: AggFn, m: &Matrix, threads: usize) -> Result<f64> {
     let (rows, cols) = m.shape();
     let d = match m {
         Matrix::Dense(d) if rows * cols > 0 => d,
-        _ => return aggregate_full(f, m),
+        _ => return full_sequential(f, m),
     };
     let parts = super::par_row_partitions(rows, cols, threads);
     if parts.len() <= 1 {
-        return aggregate_full(f, m);
+        return full_sequential(f, m);
     }
     let vals = d.values();
     let part_sum = |lo: usize, hi: usize, map: &(dyn Fn(f64) -> f64 + Sync)| {
@@ -199,26 +200,14 @@ fn full_var(m: &Matrix) -> f64 {
     acc.sum / (n - 1.0)
 }
 
-/// Row- or column-wise aggregation producing a vector-shaped matrix.
-pub fn aggregate_axis(f: AggFn, dir: Direction, m: &Matrix) -> Result<Matrix> {
-    match dir {
-        Direction::Full => {
-            let v = aggregate_full(f, m)?;
-            Matrix::from_vec(1, 1, vec![v])
-        }
-        Direction::Row => aggregate_rows(f, m),
-        Direction::Col => aggregate_cols(f, m),
-    }
-}
-
 /// Row- or column-wise aggregation, row-partitioned over `threads`. Row
 /// results are computed on disjoint row ranges; column results merge
 /// per-partition partial vectors.
-pub fn aggregate_axis_mt(f: AggFn, dir: Direction, m: &Matrix, threads: usize) -> Result<Matrix> {
+pub fn aggregate_axis(f: AggFn, dir: Direction, m: &Matrix, threads: usize) -> Result<Matrix> {
     let (rows, cols) = m.shape();
     match dir {
         Direction::Full => {
-            let v = aggregate_full_mt(f, m, threads)?;
+            let v = aggregate_full(f, m, threads)?;
             Matrix::from_vec(1, 1, vec![v])
         }
         Direction::Row => {
@@ -428,12 +417,12 @@ mod tests {
     #[test]
     fn full_aggregations() {
         let m = sample();
-        assert_eq!(aggregate_full(AggFn::Sum, &m).unwrap(), 21.0);
-        assert_eq!(aggregate_full(AggFn::Mean, &m).unwrap(), 3.5);
-        assert_eq!(aggregate_full(AggFn::Min, &m).unwrap(), 1.0);
-        assert_eq!(aggregate_full(AggFn::Max, &m).unwrap(), 6.0);
-        assert_eq!(aggregate_full(AggFn::SumSq, &m).unwrap(), 91.0);
-        assert!((aggregate_full(AggFn::Var, &m).unwrap() - 3.5).abs() < 1e-12);
+        assert_eq!(aggregate_full(AggFn::Sum, &m, 1).unwrap(), 21.0);
+        assert_eq!(aggregate_full(AggFn::Mean, &m, 1).unwrap(), 3.5);
+        assert_eq!(aggregate_full(AggFn::Min, &m, 1).unwrap(), 1.0);
+        assert_eq!(aggregate_full(AggFn::Max, &m, 1).unwrap(), 6.0);
+        assert_eq!(aggregate_full(AggFn::SumSq, &m, 1).unwrap(), 91.0);
+        assert!((aggregate_full(AggFn::Var, &m, 1).unwrap() - 3.5).abs() < 1e-12);
     }
 
     #[test]
@@ -441,50 +430,50 @@ mod tests {
         let m = gen::rand_uniform(10, 10, 1.0, 2.0, 0.1, 31).compact();
         assert!(m.is_sparse());
         // all stored values >= 1.0, but min must be 0.
-        assert_eq!(aggregate_full(AggFn::Min, &m).unwrap(), 0.0);
-        assert!(aggregate_full(AggFn::Max, &m).unwrap() >= 1.0);
+        assert_eq!(aggregate_full(AggFn::Min, &m, 1).unwrap(), 0.0);
+        assert!(aggregate_full(AggFn::Max, &m, 1).unwrap() >= 1.0);
     }
 
     #[test]
     fn sparse_var_accounts_for_zeros() {
         let m = gen::rand_uniform(30, 30, 1.0, 2.0, 0.1, 32).compact();
         let dense = Matrix::Dense(m.to_dense());
-        let sv = aggregate_full(AggFn::Var, &m).unwrap();
-        let dv = aggregate_full(AggFn::Var, &dense).unwrap();
+        let sv = aggregate_full(AggFn::Var, &m, 1).unwrap();
+        let dv = aggregate_full(AggFn::Var, &dense, 1).unwrap();
         assert!((sv - dv).abs() < 1e-9);
     }
 
     #[test]
     fn row_and_col_sums() {
         let m = sample();
-        let r = aggregate_axis(AggFn::Sum, Direction::Row, &m).unwrap();
+        let r = aggregate_axis(AggFn::Sum, Direction::Row, &m, 1).unwrap();
         assert!(r.approx_eq(&Matrix::from_vec(2, 1, vec![6.0, 15.0]).unwrap(), 1e-12));
-        let c = aggregate_axis(AggFn::Sum, Direction::Col, &m).unwrap();
+        let c = aggregate_axis(AggFn::Sum, Direction::Col, &m, 1).unwrap();
         assert!(c.approx_eq(&Matrix::from_vec(1, 3, vec![5.0, 7.0, 9.0]).unwrap(), 1e-12));
     }
 
     #[test]
     fn col_means_on_sparse() {
         let m = gen::rand_uniform(50, 4, 0.0, 1.0, 0.2, 33).compact();
-        let got = aggregate_axis(AggFn::Mean, Direction::Col, &m).unwrap();
+        let got = aggregate_axis(AggFn::Mean, Direction::Col, &m, 1).unwrap();
         let dense = Matrix::Dense(m.to_dense());
-        let expect = aggregate_axis(AggFn::Mean, Direction::Col, &dense).unwrap();
+        let expect = aggregate_axis(AggFn::Mean, Direction::Col, &dense, 1).unwrap();
         assert!(got.approx_eq(&expect, 1e-12));
     }
 
     #[test]
     fn row_max_and_min() {
         let m = sample();
-        let mx = aggregate_axis(AggFn::Max, Direction::Row, &m).unwrap();
+        let mx = aggregate_axis(AggFn::Max, Direction::Row, &m, 1).unwrap();
         assert!(mx.approx_eq(&Matrix::from_vec(2, 1, vec![3.0, 6.0]).unwrap(), 1e-12));
-        let mn = aggregate_axis(AggFn::Min, Direction::Col, &m).unwrap();
+        let mn = aggregate_axis(AggFn::Min, Direction::Col, &m, 1).unwrap();
         assert!(mn.approx_eq(&Matrix::from_vec(1, 3, vec![1.0, 2.0, 3.0]).unwrap(), 1e-12));
     }
 
     #[test]
     fn full_direction_yields_one_by_one() {
         let m = sample();
-        let s = aggregate_axis(AggFn::Sum, Direction::Full, &m).unwrap();
+        let s = aggregate_axis(AggFn::Sum, Direction::Full, &m, 1).unwrap();
         assert_eq!(s.shape(), (1, 1));
         assert_eq!(s.get(0, 0), 21.0);
     }
@@ -530,7 +519,7 @@ mod tests {
         let mut data = vec![1e-16; n];
         data[0] = 1.0;
         let m = Matrix::from_vec(n, 1, data).unwrap();
-        let s = aggregate_full(AggFn::Sum, &m).unwrap();
+        let s = aggregate_full(AggFn::Sum, &m, 1).unwrap();
         let expect = 1.0 + (n as f64 - 1.0) * 1e-16;
         assert!((s - expect).abs() < 1e-18, "got {s}, want {expect}");
     }
@@ -548,14 +537,14 @@ mod tests {
             AggFn::Var,
             AggFn::Sd,
         ] {
-            let seq = aggregate_full(f, &m).unwrap();
-            let par = aggregate_full_mt(f, &m, 4).unwrap();
+            let seq = aggregate_full(f, &m, 1).unwrap();
+            let par = aggregate_full(f, &m, 4).unwrap();
             assert!((seq - par).abs() < 1e-9, "{f:?}: {seq} vs {par}");
         }
         for dir in [Direction::Row, Direction::Col] {
             for f in [AggFn::Sum, AggFn::Mean, AggFn::SumSq, AggFn::Max] {
-                let seq = aggregate_axis(f, dir, &m).unwrap();
-                let par = aggregate_axis_mt(f, dir, &m, 4).unwrap();
+                let seq = aggregate_axis(f, dir, &m, 1).unwrap();
+                let par = aggregate_axis(f, dir, &m, 4).unwrap();
                 assert!(seq.approx_eq(&par, 1e-9), "{f:?} {dir:?}");
             }
         }
@@ -567,7 +556,7 @@ mod tests {
         let mut data = vec![1e-16; n];
         data[0] = 1.0;
         let m = Matrix::from_vec(n / 2, 2, data).unwrap();
-        let s = aggregate_full_mt(AggFn::Sum, &m, 4).unwrap();
+        let s = aggregate_full(AggFn::Sum, &m, 4).unwrap();
         let expect = 1.0 + (n as f64 - 1.0) * 1e-16;
         assert!((s - expect).abs() < 1e-12, "got {s}, want {expect}");
     }
@@ -575,8 +564,8 @@ mod tests {
     #[test]
     fn empty_matrix_sum_is_zero() {
         let m = Matrix::zeros(0, 3);
-        assert_eq!(aggregate_full(AggFn::Sum, &m).unwrap(), 0.0);
-        assert!(aggregate_full(AggFn::Mean, &m).is_err());
+        assert_eq!(aggregate_full(AggFn::Sum, &m, 1).unwrap(), 0.0);
+        assert!(aggregate_full(AggFn::Mean, &m, 1).is_err());
     }
 }
 

@@ -210,13 +210,8 @@ fn broadcast_mode(lhs: (usize, usize), rhs: (usize, usize)) -> Result<Broadcast>
     }
 }
 
-/// Matrix ⊕ matrix with broadcasting of the right operand (sequential).
-pub fn binary_mm(op: BinaryOp, a: &Matrix, b: &Matrix) -> Result<Matrix> {
-    binary_mm_mt(op, a, b, 1)
-}
-
 /// Matrix ⊕ matrix with broadcasting, row-partitioned over `threads`.
-pub fn binary_mm_mt(op: BinaryOp, a: &Matrix, b: &Matrix, threads: usize) -> Result<Matrix> {
+pub fn binary_mm(op: BinaryOp, a: &Matrix, b: &Matrix, threads: usize) -> Result<Matrix> {
     let mode = broadcast_mode(a.shape(), b.shape())?;
     // Sparse fast path: zero-preserving ops on a sparse left operand touch
     // only stored entries.
@@ -266,13 +261,8 @@ fn sparse_left_zero_preserving(
     Matrix::Sparse(SparseMatrix::from_triples(a.rows(), a.cols(), triples))
 }
 
-/// Matrix ⊕ scalar (sequential).
-pub fn binary_ms(op: BinaryOp, a: &Matrix, s: f64) -> Matrix {
-    binary_ms_mt(op, a, s, 1)
-}
-
 /// Matrix ⊕ scalar, row-partitioned over `threads`.
-pub fn binary_ms_mt(op: BinaryOp, a: &Matrix, s: f64, threads: usize) -> Matrix {
+pub fn binary_ms(op: BinaryOp, a: &Matrix, s: f64, threads: usize) -> Matrix {
     // Keep sparsity when op(0, s) == 0.
     if let Matrix::Sparse(sa) = a {
         if op.apply(0.0, s) == 0.0 {
@@ -287,13 +277,9 @@ pub fn binary_ms_mt(op: BinaryOp, a: &Matrix, s: f64, threads: usize) -> Matrix 
     map_dense(a, threads, |v| op.apply(v, s))
 }
 
-/// Scalar ⊕ matrix (non-commutative ops need this separate form).
-pub fn binary_sm(op: BinaryOp, s: f64, a: &Matrix) -> Matrix {
-    binary_sm_mt(op, s, a, 1)
-}
-
-/// Scalar ⊕ matrix, row-partitioned over `threads`.
-pub fn binary_sm_mt(op: BinaryOp, s: f64, a: &Matrix, threads: usize) -> Matrix {
+/// Scalar ⊕ matrix (non-commutative ops need this separate form),
+/// row-partitioned over `threads`.
+pub fn binary_sm(op: BinaryOp, s: f64, a: &Matrix, threads: usize) -> Matrix {
     if let Matrix::Sparse(sa) = a {
         if op.apply(s, 0.0) == 0.0 {
             let triples = sa
@@ -307,13 +293,8 @@ pub fn binary_sm_mt(op: BinaryOp, s: f64, a: &Matrix, threads: usize) -> Matrix 
     map_dense(a, threads, |v| op.apply(s, v))
 }
 
-/// Unary element-wise application (sequential).
-pub fn unary(op: UnaryOp, a: &Matrix) -> Matrix {
-    unary_mt(op, a, 1)
-}
-
 /// Unary element-wise application, row-partitioned over `threads`.
-pub fn unary_mt(op: UnaryOp, a: &Matrix, threads: usize) -> Matrix {
+pub fn unary(op: UnaryOp, a: &Matrix, threads: usize) -> Matrix {
     if let (Matrix::Sparse(sa), true) = (a, op.zero_preserving()) {
         let triples = sa
             .iter_nonzeros()
@@ -376,7 +357,7 @@ mod tests {
     fn add_equal_shapes() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
         let b = Matrix::from_rows(&[&[10.0, 20.0], &[30.0, 40.0]]).unwrap();
-        let c = binary_mm(BinaryOp::Add, &a, &b).unwrap();
+        let c = binary_mm(BinaryOp::Add, &a, &b, 1).unwrap();
         assert!(c.approx_eq(
             &Matrix::from_rows(&[&[11.0, 22.0], &[33.0, 44.0]]).unwrap(),
             1e-12
@@ -387,14 +368,14 @@ mod tests {
     fn shape_mismatch_rejected() {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(3, 2);
-        assert!(binary_mm(BinaryOp::Add, &a, &b).is_err());
+        assert!(binary_mm(BinaryOp::Add, &a, &b, 1).is_err());
     }
 
     #[test]
     fn column_vector_broadcast() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
         let v = Matrix::from_vec(2, 1, vec![10.0, 100.0]).unwrap();
-        let c = binary_mm(BinaryOp::Mul, &a, &v).unwrap();
+        let c = binary_mm(BinaryOp::Mul, &a, &v, 1).unwrap();
         assert!(c.approx_eq(
             &Matrix::from_rows(&[&[10.0, 20.0], &[300.0, 400.0]]).unwrap(),
             1e-12
@@ -405,7 +386,7 @@ mod tests {
     fn row_vector_broadcast() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
         let v = Matrix::from_vec(1, 2, vec![-1.0, 1.0]).unwrap();
-        let c = binary_mm(BinaryOp::Add, &a, &v).unwrap();
+        let c = binary_mm(BinaryOp::Add, &a, &v, 1).unwrap();
         assert!(c.approx_eq(
             &Matrix::from_rows(&[&[0.0, 3.0], &[2.0, 5.0]]).unwrap(),
             1e-12
@@ -417,7 +398,7 @@ mod tests {
         let a = gen::rand_uniform(20, 20, 1.0, 2.0, 0.05, 21).compact();
         assert!(a.is_sparse());
         let b = Matrix::filled(20, 20, 2.0);
-        let c = binary_mm(BinaryOp::Mul, &a, &b).unwrap();
+        let c = binary_mm(BinaryOp::Mul, &a, &b, 1).unwrap();
         assert!(c.is_sparse());
         for (i, j, v) in a.iter_nonzeros() {
             assert_eq!(c.get(i, j), 2.0 * v);
@@ -427,7 +408,7 @@ mod tests {
     #[test]
     fn sparse_scalar_multiply_keeps_sparsity() {
         let a = gen::rand_uniform(20, 20, 1.0, 2.0, 0.05, 22).compact();
-        let c = binary_ms(BinaryOp::Mul, &a, 3.0);
+        let c = binary_ms(BinaryOp::Mul, &a, 3.0, 1);
         assert!(c.is_sparse());
         assert_eq!(c.nnz(), a.nnz());
     }
@@ -435,8 +416,8 @@ mod tests {
     #[test]
     fn scalar_minus_matrix_is_not_commutative() {
         let a = Matrix::filled(1, 2, 3.0);
-        let l = binary_sm(BinaryOp::Sub, 10.0, &a);
-        let r = binary_ms(BinaryOp::Sub, &a, 10.0);
+        let l = binary_sm(BinaryOp::Sub, 10.0, &a, 1);
+        let r = binary_ms(BinaryOp::Sub, &a, 10.0, 1);
         assert_eq!(l.get(0, 0), 7.0);
         assert_eq!(r.get(0, 0), -7.0);
     }
@@ -451,7 +432,7 @@ mod tests {
     #[test]
     fn comparisons_yield_indicators() {
         let a = Matrix::from_rows(&[&[1.0, 5.0]]).unwrap();
-        let c = binary_ms(BinaryOp::Gt, &a, 2.0);
+        let c = binary_ms(BinaryOp::Gt, &a, 2.0, 1);
         assert_eq!(c.get(0, 0), 0.0);
         assert_eq!(c.get(0, 1), 1.0);
     }
@@ -459,13 +440,13 @@ mod tests {
     #[test]
     fn unary_ops_on_sparse() {
         let a = gen::rand_uniform(15, 15, -2.0, 2.0, 0.1, 23).compact();
-        let c = unary(UnaryOp::Abs, &a);
+        let c = unary(UnaryOp::Abs, &a, 1);
         assert!(c.is_sparse());
         for (i, j, v) in a.iter_nonzeros() {
             assert_eq!(c.get(i, j), v.abs());
         }
         // exp(0) = 1, so exp must densify.
-        let e = unary(UnaryOp::Exp, &a);
+        let e = unary(UnaryOp::Exp, &a, 1);
         assert!(!e.is_sparse());
         assert_eq!(e.get(0, 1).min(1.0), e.get(0, 1).min(1.0)); // well-defined
     }
@@ -473,7 +454,7 @@ mod tests {
     #[test]
     fn sigmoid_range() {
         let a = Matrix::from_rows(&[&[-100.0, 0.0, 100.0]]).unwrap();
-        let s = unary(UnaryOp::Sigmoid, &a);
+        let s = unary(UnaryOp::Sigmoid, &a, 1);
         assert!(s.get(0, 0) < 1e-6);
         assert_eq!(s.get(0, 1), 0.5);
         assert!(s.get(0, 2) > 1.0 - 1e-6);
@@ -495,15 +476,15 @@ mod tests {
         // Big enough (> PAR_MIN_CELLS) to take the multi-partition path.
         let a = gen::rand_uniform(300, 120, -2.0, 2.0, 1.0, 24);
         let b = gen::rand_uniform(300, 120, -2.0, 2.0, 1.0, 25);
-        let mm1 = binary_mm(BinaryOp::Mul, &a, &b).unwrap();
-        let mm4 = binary_mm_mt(BinaryOp::Mul, &a, &b, 4).unwrap();
+        let mm1 = binary_mm(BinaryOp::Mul, &a, &b, 1).unwrap();
+        let mm4 = binary_mm(BinaryOp::Mul, &a, &b, 4).unwrap();
         assert!(mm1.approx_eq(&mm4, 1e-12));
-        let ms4 = binary_ms_mt(BinaryOp::Add, &a, 1.5, 4);
-        assert!(binary_ms(BinaryOp::Add, &a, 1.5).approx_eq(&ms4, 1e-12));
-        let sm4 = binary_sm_mt(BinaryOp::Div, 2.0, &a, 4);
-        assert!(binary_sm(BinaryOp::Div, 2.0, &a).approx_eq(&sm4, 1e-12));
-        let u4 = unary_mt(UnaryOp::Exp, &a, 4);
-        assert!(unary(UnaryOp::Exp, &a).approx_eq(&u4, 1e-12));
+        let ms4 = binary_ms(BinaryOp::Add, &a, 1.5, 4);
+        assert!(binary_ms(BinaryOp::Add, &a, 1.5, 1).approx_eq(&ms4, 1e-12));
+        let sm4 = binary_sm(BinaryOp::Div, 2.0, &a, 4);
+        assert!(binary_sm(BinaryOp::Div, 2.0, &a, 1).approx_eq(&sm4, 1e-12));
+        let u4 = unary(UnaryOp::Exp, &a, 4);
+        assert!(unary(UnaryOp::Exp, &a, 1).approx_eq(&u4, 1e-12));
     }
 
     #[test]

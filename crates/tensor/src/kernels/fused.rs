@@ -881,8 +881,8 @@ mod tests {
     }
 
     fn unfused_sub_sq(x: &Matrix, y: &Matrix) -> Matrix {
-        let d = elementwise::binary_mm(BinaryOp::Sub, x, y).unwrap();
-        elementwise::binary_ms(BinaryOp::Pow, &d, 2.0)
+        let d = elementwise::binary_mm(BinaryOp::Sub, x, y, 1).unwrap();
+        elementwise::binary_ms(BinaryOp::Pow, &d, 2.0, 1)
     }
 
     #[test]
@@ -921,7 +921,7 @@ mod tests {
             FusedOutput::Scalar(v) => v,
             other => panic!("expected scalar, got {other:?}"),
         };
-        let want = aggregate::aggregate_full(AggFn::Sum, &unfused_sub_sq(&x, &y)).unwrap();
+        let want = aggregate::aggregate_full(AggFn::Sum, &unfused_sub_sq(&x, &y), 1).unwrap();
         assert!((got - want).abs() < 1e-9, "{got} vs {want}");
     }
 
@@ -968,7 +968,7 @@ mod tests {
                 FusedOutput::Matrix(mat) => mat,
                 other => panic!("expected matrix, got {other:?}"),
             };
-            let want = aggregate::aggregate_axis(f, d, &ref_mat).unwrap();
+            let want = aggregate::aggregate_axis(f, d, &ref_mat, 1).unwrap();
             assert!(got.approx_eq(&want, 1e-9), "{f:?} {d:?}");
         }
     }
@@ -984,7 +984,7 @@ mod tests {
             other => panic!("expected matrix, got {other:?}"),
         };
         assert!(got.is_sparse());
-        let want = elementwise::binary_ms(BinaryOp::Mul, &x, 3.0);
+        let want = elementwise::binary_ms(BinaryOp::Mul, &x, 3.0, 1);
         assert!(got.approx_eq(&want, 1e-12));
     }
 
@@ -1007,7 +1007,7 @@ mod tests {
             FusedOutput::Matrix(mat) => mat,
             other => panic!("expected matrix, got {other:?}"),
         };
-        let want = elementwise::binary_ms(BinaryOp::Add, &x, 1.0);
+        let want = elementwise::binary_ms(BinaryOp::Add, &x, 1.0, 1);
         assert!(got.approx_eq(&want, 1e-12));
         assert_eq!(got.get(1, 1), x.get(1, 1) + 1.0);
     }

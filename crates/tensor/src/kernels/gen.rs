@@ -131,11 +131,14 @@ mod tests {
     #[test]
     fn normal_moments() {
         let m = rand_normal(100, 100, 1.0, 75);
-        let mean =
-            crate::kernels::aggregate::aggregate_full(crate::kernels::aggregate::AggFn::Mean, &m)
-                .unwrap();
+        let mean = crate::kernels::aggregate::aggregate_full(
+            crate::kernels::aggregate::AggFn::Mean,
+            &m,
+            1,
+        )
+        .unwrap();
         let sd =
-            crate::kernels::aggregate::aggregate_full(crate::kernels::aggregate::AggFn::Sd, &m)
+            crate::kernels::aggregate::aggregate_full(crate::kernels::aggregate::AggFn::Sd, &m, 1)
                 .unwrap();
         assert!(mean.abs() < 0.05);
         assert!((sd - 1.0).abs() < 0.05);

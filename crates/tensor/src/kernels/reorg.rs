@@ -89,7 +89,7 @@ pub fn diag(m: &Matrix) -> Result<Matrix> {
 
 /// Row-major `matrix(X, rows, cols)` reshape.
 pub fn reshape(m: &Matrix, rows: usize, cols: usize) -> Result<Matrix> {
-    if rows * cols != m.rows() * m.cols() {
+    if rows.checked_mul(cols) != Some(m.rows() * m.cols()) {
         return Err(SysDsError::runtime(format!(
             "reshape {}x{} -> {rows}x{cols} changes cell count",
             m.rows(),

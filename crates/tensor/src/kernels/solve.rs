@@ -323,6 +323,7 @@ mod tests {
             crate::kernels::elementwise::BinaryOp::Add,
             &g,
             &Matrix::Dense(Matrix::identity(n).to_dense()),
+            1,
         )
         .unwrap()
     }
@@ -684,6 +685,7 @@ mod eigen_tests {
             BinaryOp::Add,
             &g,
             &Matrix::Dense(Matrix::identity(4).to_dense()),
+            1,
         )
         .unwrap();
         let (w, _) = eigen_symmetric(&a).unwrap();

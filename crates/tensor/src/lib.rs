@@ -1,24 +1,19 @@
-//! The TensorBlock operation library of `systemds-rs` (paper §2.4).
+//! The matrix operation library of `systemds-rs`.
 //!
-//! Three layers live here:
+//! [`Matrix`] (dense or sparse `f64`) is the one data representation of
+//! the linear-algebra runtime; frames (`sysds-frame`) cover heterogeneous
+//! columns. The paper's §2.4 tensor blocks and §3.4 compressed matrices
+//! are not reproduced. Two layers live here:
 //!
-//! 1. [`matrix`] — the 2-D `f64` workhorse used by the runtime's linear
-//!    algebra instructions: [`Matrix`] with dense (row-major) and sparse
-//!    (CSR) representations chosen automatically by sparsity.
+//! 1. [`matrix`] — [`Matrix`] with dense (row-major) and sparse (CSR)
+//!    representations chosen automatically by sparsity.
 //! 2. [`kernels`] — the operation library: matrix multiplication (portable
 //!    naive and BLAS-like blocked multi-threaded kernels), the fused
 //!    transpose-self product `tsmm` (`t(X) %*% X`), element-wise ops with
 //!    broadcasting, aggregations, reorg ops, solvers, indexing, and
-//!    generators.
-//! 3. [`tensor`] — the general data model: [`BasicTensorBlock`]
-//!    (homogeneous, n-dimensional, typed) and [`DataTensorBlock`]
-//!    (heterogeneous, schema on the second dimension).
+//!    generators. Each op has one entry point taking the thread count.
 
-pub mod compress;
 pub mod kernels;
 pub mod matrix;
-pub mod tensor;
 
-pub use compress::CompressedMatrix;
-pub use matrix::{DenseMatrix, Matrix, SparseMatrix, SPARSE_THRESHOLD};
-pub use tensor::{BasicTensorBlock, DataTensorBlock, TensorStorage};
+pub use matrix::{checked_cells, DenseMatrix, Matrix, SparseMatrix, SPARSE_THRESHOLD};

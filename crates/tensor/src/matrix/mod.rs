@@ -18,6 +18,18 @@ use sysds_common::{Result, SysDsError};
 /// SystemML uses the same threshold for its dense/sparse decision.
 pub const SPARSE_THRESHOLD: f64 = 0.4;
 
+/// `rows * cols` when a dense `f64` matrix of that shape fits one
+/// allocation (at most `isize::MAX` bytes), else `None`. Every shape that
+/// comes from user input (DML dimensions, `.mtd` sidecars, binary headers)
+/// goes through this check before anything is allocated.
+pub fn checked_cells(rows: usize, cols: usize) -> Option<usize> {
+    rows.checked_mul(cols).filter(|&cells| {
+        cells
+            .checked_mul(std::mem::size_of::<f64>())
+            .is_some_and(|bytes| bytes <= isize::MAX as usize)
+    })
+}
+
 /// A 2-D `f64` matrix with automatic dense/sparse representation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Matrix {

@@ -81,13 +81,13 @@ fn reference(
             },
             TemplateNode::Const(c) => Val::S(*c),
             TemplateNode::Unary(op, a) => match &vals[*a] {
-                Val::M(x) => Val::M(elementwise::unary(*op, x)),
+                Val::M(x) => Val::M(elementwise::unary(*op, x, 1)),
                 Val::S(x) => Val::S(op.apply(*x)),
             },
             TemplateNode::Binary(op, a, b) => match (&vals[*a], &vals[*b]) {
-                (Val::M(x), Val::M(y)) => Val::M(elementwise::binary_mm(*op, x, y)?),
-                (Val::M(x), Val::S(y)) => Val::M(elementwise::binary_ms(*op, x, *y)),
-                (Val::S(x), Val::M(y)) => Val::M(elementwise::binary_sm(*op, *x, y)),
+                (Val::M(x), Val::M(y)) => Val::M(elementwise::binary_mm(*op, x, y, 1)?),
+                (Val::M(x), Val::S(y)) => Val::M(elementwise::binary_ms(*op, x, *y, 1)),
+                (Val::S(x), Val::M(y)) => Val::M(elementwise::binary_sm(*op, *x, y, 1)),
                 (Val::S(x), Val::S(y)) => Val::S(op.apply(*x, *y)),
             },
         };
@@ -101,8 +101,12 @@ fn reference(
     };
     match t.agg {
         None => Ok(FusedOutput::Matrix(root)),
-        Some((f, Direction::Full)) => Ok(FusedOutput::Scalar(aggregate::aggregate_full(f, &root)?)),
-        Some((f, d)) => Ok(FusedOutput::Matrix(aggregate::aggregate_axis(f, d, &root)?)),
+        Some((f, Direction::Full)) => {
+            Ok(FusedOutput::Scalar(aggregate::aggregate_full(f, &root, 1)?))
+        }
+        Some((f, d)) => Ok(FusedOutput::Matrix(aggregate::aggregate_axis(
+            f, d, &root, 1,
+        )?)),
     }
 }
 

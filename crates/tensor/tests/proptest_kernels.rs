@@ -52,11 +52,11 @@ fn matmul_distributes_over_addition() {
     check("matmul_distributes_over_addition", CASES, |g| {
         let (a, b, c) = mat_pair(g, 12);
         // A(B + C) == AB + AC
-        let bc = elementwise::binary_mm(BinaryOp::Add, &b, &c).unwrap();
+        let bc = elementwise::binary_mm(BinaryOp::Add, &b, &c, 1).unwrap();
         let lhs = matmult::matmul(&a, &bc, 2, false).unwrap();
         let ab = matmult::matmul(&a, &b, 2, true).unwrap();
         let ac = matmult::matmul(&a, &c, 2, false).unwrap();
-        let rhs = elementwise::binary_mm(BinaryOp::Add, &ab, &ac).unwrap();
+        let rhs = elementwise::binary_mm(BinaryOp::Add, &ab, &ac, 1).unwrap();
         assert!(lhs.approx_eq(&rhs, 1e-8));
     });
 }
@@ -97,11 +97,14 @@ fn tsmm_equals_explicit_product_sparse() {
 fn sum_invariant_under_transpose_and_reshape() {
     check("sum_invariant_under_transpose_and_reshape", CASES, |g| {
         let m = mat(g, 20, 0.3);
-        let s0 = aggregate::aggregate_full(AggFn::Sum, &m).unwrap();
-        let s1 = aggregate::aggregate_full(AggFn::Sum, &reorg::transpose(&m, 1)).unwrap();
-        let s2 =
-            aggregate::aggregate_full(AggFn::Sum, &reorg::reshape(&m, m.cols(), m.rows()).unwrap())
-                .unwrap();
+        let s0 = aggregate::aggregate_full(AggFn::Sum, &m, 1).unwrap();
+        let s1 = aggregate::aggregate_full(AggFn::Sum, &reorg::transpose(&m, 1), 1).unwrap();
+        let s2 = aggregate::aggregate_full(
+            AggFn::Sum,
+            &reorg::reshape(&m, m.cols(), m.rows()).unwrap(),
+            1,
+        )
+        .unwrap();
         assert!((s0 - s1).abs() < 1e-9);
         assert!((s0 - s2).abs() < 1e-9);
     });
@@ -111,9 +114,9 @@ fn sum_invariant_under_transpose_and_reshape() {
 fn row_sums_sum_to_full_sum() {
     check("row_sums_sum_to_full_sum", CASES, |g| {
         let m = mat(g, 20, 1.0);
-        let full = aggregate::aggregate_full(AggFn::Sum, &m).unwrap();
-        let rows = aggregate::aggregate_axis(AggFn::Sum, Direction::Row, &m).unwrap();
-        let total = aggregate::aggregate_full(AggFn::Sum, &rows).unwrap();
+        let full = aggregate::aggregate_full(AggFn::Sum, &m, 1).unwrap();
+        let rows = aggregate::aggregate_axis(AggFn::Sum, Direction::Row, &m, 1).unwrap();
+        let total = aggregate::aggregate_full(AggFn::Sum, &rows, 1).unwrap();
         assert!((full - total).abs() < 1e-9);
     });
 }
@@ -150,7 +153,7 @@ fn rbind_slice_round_trip() {
 fn unary_neg_twice_is_identity() {
     check("unary_neg_twice_is_identity", CASES, |g| {
         let m = mat(g, 20, 0.3);
-        let back = elementwise::unary(UnaryOp::Neg, &elementwise::unary(UnaryOp::Neg, &m));
+        let back = elementwise::unary(UnaryOp::Neg, &elementwise::unary(UnaryOp::Neg, &m, 1), 1);
         assert!(back.approx_eq(&m, 0.0));
     });
 }
@@ -160,7 +163,7 @@ fn scalar_ops_match_cellwise() {
     check("scalar_ops_match_cellwise", CASES, |g| {
         let m = mat(g, 12, 1.0);
         let s = g.f64(-3.0f64..3.0);
-        let r = elementwise::binary_ms(BinaryOp::Add, &m, s);
+        let r = elementwise::binary_ms(BinaryOp::Add, &m, s, 1);
         for i in 0..m.rows() {
             for j in 0..m.cols() {
                 assert!((r.get(i, j) - (m.get(i, j) + s)).abs() < 1e-12);
@@ -191,6 +194,7 @@ fn solve_recovers_solution() {
             BinaryOp::Add,
             &g,
             &Matrix::Dense(Matrix::identity(n).to_dense()),
+            1,
         )
         .unwrap();
         let w = gen::rand_uniform(n, 1, -1.0, 1.0, 1.0, seed ^ 99);

@@ -37,8 +37,8 @@ fn main() -> sysds::Result<()> {
         if step % 100 == 0 {
             println!("step {step:>3}: loss {loss:.6}");
         }
-        let update = elementwise::binary_ms(BinaryOp::Mul, &grads[0], lr);
-        w = elementwise::binary_mm(BinaryOp::Sub, &w, &update)?;
+        let update = elementwise::binary_ms(BinaryOp::Mul, &grads[0], lr, 1);
+        w = elementwise::binary_mm(BinaryOp::Sub, &w, &update, 1)?;
         last_loss = loss;
     }
 

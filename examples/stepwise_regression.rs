@@ -23,16 +23,18 @@ fn main() -> sysds::Result<()> {
     let f3 = indexing::column(&x, 2)?;
     let f11 = indexing::column(&x, 10)?;
     let f19 = indexing::column(&x, 18)?;
-    let mut y = elementwise::binary_ms(BinaryOp::Mul, &f3, 4.0);
+    let mut y = elementwise::binary_ms(BinaryOp::Mul, &f3, 4.0, 1);
     y = elementwise::binary_mm(
         BinaryOp::Add,
         &y,
-        &elementwise::binary_ms(BinaryOp::Mul, &f11, -3.0),
+        &elementwise::binary_ms(BinaryOp::Mul, &f11, -3.0, 1),
+        1,
     )?;
     y = elementwise::binary_mm(
         BinaryOp::Add,
         &y,
-        &elementwise::binary_ms(BinaryOp::Mul, &f19, 2.0),
+        &elementwise::binary_ms(BinaryOp::Mul, &f19, 2.0, 1),
+        1,
     )?;
 
     let script = "[B, S] = steplm(X=X, y=y, reg=0.000001)";

@@ -154,6 +154,53 @@ fn eigen_of_non_finite_matrix_is_a_typed_error() {
     assert!(matches!(err, SysDsError::Numerical(_)), "{err}");
 }
 
+/// Run `script` and return its error; the script must fail.
+fn run_err(script: &str, outputs: &[&str]) -> SysDsError {
+    let mut config = EngineConfig::default();
+    config.spill_dir = sysds_common::testing::unique_temp_dir("sysds-builtin-tests");
+    let mut s = SystemDS::with_config(config).unwrap();
+    s.execute(script, &[], outputs).unwrap_err()
+}
+
+/// Negative or overflowing `rand`/`matrix` dimensions once panicked the
+/// allocator ("capacity overflow") or, for a reshape, wrapped into a
+/// matrix with a negative `nrow`.
+#[test]
+fn bad_matrix_dimensions_are_typed_errors() {
+    for script in [
+        "X = matrix(0, rows=-1, cols=2)",
+        "X = matrix(1, rows=1e10, cols=1e10)",
+        "X = rand(rows=-1, cols=2)",
+    ] {
+        let err = run_err(script, &["X"]);
+        assert!(matches!(err, SysDsError::Runtime(_)), "{script}: {err}");
+    }
+    let err = run_err(
+        "X = rand(rows=3, cols=2, seed=1)\nZ = matrix(X, rows=-3, cols=-2)",
+        &["Z"],
+    );
+    assert!(matches!(err, SysDsError::Runtime(_)), "{err}");
+}
+
+/// A `.mtd` sidecar whose `rows * cols` overflows is malformed input.
+#[test]
+fn overflowing_mtd_sidecar_is_a_typed_error() {
+    let dir = sysds_common::testing::unique_temp_dir("sysds-builtin-tests");
+    std::fs::create_dir_all(&dir).unwrap();
+    let p = dir.join(format!("huge-{}.csv", std::process::id()));
+    std::fs::write(&p, "1,2\n3,4\n").unwrap();
+    std::fs::write(
+        sysds_io::Metadata::sidecar_path(&p),
+        r#"{"rows": 4294967296, "cols": 4294967296, "nnz": 4, "format": "csv"}"#,
+    )
+    .unwrap();
+    let err = run_err(
+        &format!("X = read(\"{}\")\ns = sum(X)", p.display()),
+        &["s"],
+    );
+    assert!(matches!(err, SysDsError::Format(_)), "{err}");
+}
+
 #[test]
 fn elementwise_and_casting_builtins() {
     let out = run(

@@ -112,12 +112,15 @@ fn steplm_selects_informative_features() {
             sysds_tensor::kernels::BinaryOp::Mul,
             &c2,
             3.0,
+            1,
         ),
         &sysds_tensor::kernels::elementwise::binary_ms(
             sysds_tensor::kernels::BinaryOp::Mul,
             &c5,
             -2.0,
+            1,
         ),
+        1,
     )
     .unwrap();
     let out = s
@@ -198,6 +201,7 @@ fn kmeans_separates_two_far_clusters() {
         sysds_tensor::kernels::BinaryOp::Add,
         &gen::rand_uniform(30, 2, 0.0, 1.0, 1.0, 608),
         100.0,
+        1,
     );
     let x = sysds_tensor::kernels::indexing::rbind(&a, &b).unwrap();
     let out = s
@@ -226,6 +230,7 @@ fn l2svm_separates_linearly_separable_data() {
         sysds_tensor::kernels::BinaryOp::Mul,
         &gen::rand_uniform(40, 2, 0.5, 1.5, 1.0, 610),
         -1.0,
+        1,
     );
     let x = sysds_tensor::kernels::indexing::rbind(&pos, &neg).unwrap();
     let mut yv = vec![1.0; 40];

@@ -186,22 +186,6 @@ fn dedup_and_drop_invalid() {
 }
 
 #[test]
-fn frame_to_data_tensor_round_trip() {
-    // Frames convert into the heterogeneous tensor data model (§2.4).
-    let p = messy_csv();
-    let f = sysds_io::csv::read_frame(&p, &FormatDescriptor::csv().with_header(true))
-        .unwrap()
-        .detect_schema();
-    let t = f.to_data_tensor().unwrap();
-    assert_eq!(t.dims(), &[6, 5]);
-    assert_eq!(t.schema(), f.schema().as_slice());
-    assert_eq!(
-        t.get(&[0, 0]).unwrap(),
-        sysds_common::ScalarValue::Str("graz".into())
-    );
-}
-
-#[test]
 fn prepared_script_for_low_latency_scoring() {
     // JMLC-style: pre-compile once, score many small inputs.
     let s = session();

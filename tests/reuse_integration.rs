@@ -95,8 +95,10 @@ fn steplm_benefits_from_partial_reuse() {
             sysds_tensor::kernels::BinaryOp::Mul,
             &c1,
             2.0,
+            1,
         ),
         &c7,
+        1,
     )
     .unwrap();
 
